@@ -1,5 +1,8 @@
+import os.path as osp
+
 import pytest
 
+from qtoda.cli import canonical_json
 from qtoda.scalars import LaurentQK
 from qtoda.torus import TorusRat
 from qtoda.diffop import DiffOp, SL_QUOTIENT
@@ -12,6 +15,9 @@ from qtoda.engine import (
 )
 
 import pbw_sl2
+
+GOLDEN_OPS = osp.join(osp.dirname(osp.abspath(__file__)), "golden",
+                      "operators")
 
 Q = LaurentQK.q
 C2 = (Q(1) - Q(-1)) ** 2
@@ -45,6 +51,17 @@ def closed_form_rank_one(n, affine):
 @pytest.mark.parametrize("affine", [False, True])
 def test_rank_one_closed_form(n, affine):
     assert build_toda_operator(n, 1, affine) == closed_form_rank_one(n, affine)
+
+
+@pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7)
+                                 for k in range(1, n)])
+def test_operator_goldens(n, k, affine):
+    # canonical JSON of every engine operator up to N=6, byte for byte
+    name = "toda_n%d_k%d_%s.json" % (n, k, "affine" if affine else "finite")
+    with open(osp.join(GOLDEN_OPS, name)) as fh:
+        want = fh.read()
+    assert canonical_json(build_toda_operator(n, k, affine).to_json()) == want
 
 
 def test_exterior_square_sl3_hand_value():
