@@ -170,23 +170,48 @@ class DiffOp:
     # -- algebra ----------------------------------------------------------
 
     def compose(self, other):
-        """Operator product, exact and associative."""
+        """Operator product, exact and associative.
+
+        (f T_mu)(g T_nu) = f sigma_mu(g) T_(mu+nu).  When f and g are
+        polynomials, every numerator term c1 e^(l1) of f and c2 e^(l2) of g
+        adds c1 c2 q^(l2 . mu) e^(l1+l2) to one accumulator per output
+        shift, and each output coefficient becomes one TorusRat at the end.
+        A pair with a non-unit denominator is multiplied exactly as
+        TorusRat in the same loop and added to the same output shift.
+        """
         other = self._coerce(other)
         self._check(other)
-        terms = {}
+        quotient = self.mode == SL_QUOTIENT
+        polys = {}   # output shift -> {exponent: scalar}
+        rats = {}    # output shift -> TorusRat sum of rational products
+        right = [(nu, g, g.is_polynomial()) for nu, g in other.terms.items()]
         for mu, f in self.terms.items():
-            for nu, g in other.terms.items():
+            f_poly = f.is_polynomial()
+            for nu, g, g_poly in right:
                 key = vadd(mu, nu)
-                if self.mode == SL_QUOTIENT:
+                if quotient:
                     key = com_quotient_canonicalize(key)
-                p = f * g.shift_substitute(mu)
-                s = terms.get(key)
-                s = p if s is None else s + p
-                if s.is_zero:
-                    terms.pop(key, None)
+                if f_poly and g_poly:
+                    acc = polys.setdefault(key, {})
+                    for l2, c2 in g.num.terms.items():
+                        p = dot(l2, mu)
+                        if p:
+                            c2 = c2 * LaurentQK.q(p)
+                        for l1, c1 in f.num.terms.items():
+                            e = vadd(l1, l2)
+                            c = c1 * c2
+                            prev = acc.get(e)
+                            acc[e] = c if prev is None else prev + c
                 else:
-                    terms[key] = s
-        return self._wrap(terms)
+                    p = f * g.shift_substitute(mu)
+                    prev = rats.get(key)
+                    rats[key] = p if prev is None else prev + p
+        terms = {key: TorusRat(TorusPoly(self.n, acc))
+                 for key, acc in polys.items()}
+        for key, r in rats.items():
+            terms[key] = terms[key] + r if key in terms else r
+        return self._wrap({key: f for key, f in terms.items()
+                           if not f.is_zero})
 
     def commutator(self, other):
         return self.compose(other) - other.compose(self)

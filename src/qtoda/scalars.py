@@ -4,7 +4,12 @@ The scalar ring of the whole package.  A scalar is a finite sum of terms
 
     c * q^(a/2) * K^b * (g^2)^e * (q^(2k))^f * (K^(1/N))^r
 
-with rational c.  The q exponent is stored doubled so that half-integer
+with rational c.  A coefficient is an ``int`` when integral (every
+constructor ensures this) and a ``fractions.Fraction`` otherwise, so the
+integral coefficients the engine produces never pay for ``Fraction``
+arithmetic.  Sums and products of ``Fraction`` coefficients may leave an
+integral ``Fraction``; it compares, hashes and serialises exactly like
+the ``int``.  The q exponent is stored doubled so that half-integer
 powers (which arise from conjugation by the Weyl-vector monomial) stay in
 integer arithmetic.  The auxiliary slots g2, tk and kr are only populated
 inside the relativistic and Macdonald checks; core outputs keep them zero.
@@ -28,13 +33,14 @@ class IllPosedLimitError(ArithmeticError):
 
 
 def _as_fraction(x):
-    if isinstance(x, Fraction):
+    """The exact rational value of x: an int when integral, else a
+    Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, LaurentQK):
         raise TypeError("expected a rational, got a LaurentQK")
-    return Fraction(x)
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class LaurentQK:
@@ -115,7 +121,7 @@ class LaurentQK:
             return other
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, _F0) + c
+            s = terms.get(key, 0) + c
             if s:
                 terms[key] = s
             else:
@@ -146,7 +152,7 @@ class LaurentQK:
             for k2, c2 in other.terms.items():
                 key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2],
                        k1[3] + k2[3], k1[4] + k2[4])
-                s = terms.get(key, _F0) + c1 * c2
+                s = terms.get(key, 0) + c1 * c2
                 if s:
                     terms[key] = s
                 else:
@@ -195,7 +201,7 @@ class LaurentQK:
 
     @property
     def is_one(self):
-        return self.terms == {_ZKEY: Fraction(1)}
+        return self.terms == {_ZKEY: 1}
 
     # -- structure helpers ----------------------------------------------
 
@@ -207,7 +213,7 @@ class LaurentQK:
         if len(self.terms) != 1:
             raise ZeroDivisionError("only monomial scalars are invertible")
         (key, c), = self.terms.items()
-        return LaurentQK({tuple(-e for e in key): 1 / c})
+        return LaurentQK({tuple(-e for e in key): Fraction(1, c)})
 
     def leading_unit(self):
         """The leading term (largest exponent key lexicographically) as an
@@ -225,7 +231,7 @@ class LaurentQK:
         if not self.terms:
             return Fraction(0)
         if self.terms.keys() == {_ZKEY}:
-            return self.terms[_ZKEY]
+            return Fraction(self.terms[_ZKEY])
         raise ValueError("scalar is not a plain rational: %s" % self)
 
     def core_only(self):
@@ -237,7 +243,7 @@ class LaurentQK:
 
     def substitute_k(self, value):
         """Evaluate K at an exact rational value (K -> value)."""
-        value = _as_fraction(value)
+        value = Fraction(value)
         terms = {}
         for key, c in self.terms.items():
             b = key[1]
@@ -250,7 +256,7 @@ class LaurentQK:
             else:
                 scaled = c * value ** b
             nk = (key[0], 0) + key[2:]
-            s = terms.get(nk, _F0) + scaled
+            s = terms.get(nk, 0) + scaled
             if s:
                 terms[nk] = s
             else:
@@ -322,9 +328,6 @@ class LaurentQK:
         return LaurentQK(terms)
 
 
-_F0 = Fraction(0)
-
-
 def _half_str(n2):
     if n2 % 2 == 0:
         return str(n2 // 2)
@@ -361,7 +364,7 @@ def q_integer(a, d=1):
     m = abs(a)
     terms = {}
     for j in range(m):
-        terms[(2 * d * (m - 1 - 2 * j), 0, 0, 0, 0)] = Fraction(sign)
+        terms[(2 * d * (m - 1 - 2 * j), 0, 0, 0, 0)] = sign
     return LaurentQK(terms)
 
 

@@ -16,6 +16,8 @@ threads; every operation returns a fresh object.
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from .scalars import LaurentQK
 
 ONE = LaurentQK.one()
@@ -35,11 +37,11 @@ def check_vector(v, n):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vneg(a):
@@ -271,14 +273,17 @@ class TorusRat:
     coefficient's leading unit to 1.
 
     Equality is decided by exact cross multiplication, so representatives
-    with uncancelled common factors still compare correctly.
+    with uncancelled common factors still compare correctly.  That is why
+    the type is unhashable.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if den is None:
-            den = TorusPoly.one(num.n)
+            # a polynomial over 1 is already normalized
+            self.num, self.den = num, TorusPoly.one(num.n)
+            return
         if num.n != den.n:
             raise TorusError("numerator and denominator rank mismatch")
         if den.is_zero:
@@ -362,8 +367,7 @@ class TorusRat:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    __hash__ = None
 
     def shift_substitute(self, mu):
         out = TorusRat.__new__(TorusRat)

@@ -1,7 +1,8 @@
 import json
+import os
 import os.path as osp
-import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -129,16 +130,19 @@ def test_verify_all_threaded(capsys, monkeypatch):
     assert out.strip().endswith("overall: pass")
 
 
-@pytest.mark.skipif(shutil.which("qtoda") is None,
-                    reason="console script not on PATH")
 def test_cli_subprocess_determinism():
-    cmd = ["qtoda", "build", "--n", "3", "--fund", "2", "--affine"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    src = osp.join(osp.dirname(osp.dirname(osp.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    qtoda = [sys.executable, "-m", "qtoda.cli"]
+    cmd = qtoda + ["build", "--n", "3", "--fund", "2", "--affine"]
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-    bad = subprocess.run(["qtoda", "build", "--n", "1", "--fund", "1"],
-                         capture_output=True)
+    bad = subprocess.run(qtoda + ["build", "--n", "1", "--fund", "1"],
+                         capture_output=True, env=env)
     assert bad.returncode == 2
 
 

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtoda.scalars import LaurentQK
-from qtoda.torus import TorusPoly, TorusRat
+from qtoda.torus import TorusPoly, TorusRat, com_quotient_canonicalize, vadd
 from qtoda.diffop import (
     GL, SL_QUOTIENT, DiffOp, DiffOpError, FactorCoeff, FactorRule,
     FormalFactorProduct, RootLiftOp, UnresolvedFactorError,
     conjugate_by_factor_product, cyclic_root, sect6_automorphism,
 )
+from qtoda.engine import toda_family
 
 Q = LaurentQK.q
 ONE = LaurentQK.one()
@@ -36,6 +37,93 @@ def small_ops(n=3, mode=GL):
         st.tuples(*[st.integers(min_value=-1, max_value=1)] * (n - 1)),
         st.fractions(min_value=-3, max_value=3, max_denominator=3))
     return st.lists(entry, min_size=1, max_size=3).map(build)
+
+
+def reference_compose(a, b):
+    """The operator product term by term: sum of f * sigma_mu(g) T_(mu+nu)
+    over every pair of terms, each product a TorusRat."""
+    terms = {}
+    for mu, f in a.terms.items():
+        for nu, g in b.terms.items():
+            key = vadd(mu, nu)
+            if a.mode == SL_QUOTIENT:
+                key = com_quotient_canonicalize(key)
+            p = f * g.shift_substitute(mu)
+            s = terms[key] + p if key in terms else p
+            if s.is_zero:
+                terms.pop(key, None)
+            else:
+                terms[key] = s
+    return DiffOp(a.n, terms, a.mode)
+
+
+def rational_ops(n=3, mode=GL):
+    """Random operators whose first coefficient has a non-unit denominator
+    1 + e^(lam'); later ones may be polynomial."""
+    def build(entries):
+        terms = {}
+        for i, (shift, lam_head, c, den_head) in enumerate(entries):
+            lam = tuple(lam_head) + (-sum(lam_head),)
+            num = TorusPoly.monomial(n, lam, LaurentQK.rational(c)) + 1
+            den = TorusPoly.one(n)
+            if i == 0 or den_head is not None:
+                den_head = den_head or (0,) * (n - 1)
+                den_lam = tuple(den_head) + (-sum(den_head),)
+                if not any(den_lam):
+                    den_lam = (1, -1) + (0,) * (n - 2)
+                den = den + TorusPoly.monomial(n, den_lam)
+            coeff = TorusRat(num, den)
+            key = tuple(shift)
+            terms[key] = terms[key] + coeff if key in terms else coeff
+        return DiffOp(n, terms, mode)
+
+    exps = st.tuples(*[st.integers(min_value=-1, max_value=1)] * (n - 1))
+    entry = st.tuples(
+        st.tuples(*[st.integers(min_value=-1, max_value=1)] * n), exps,
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.none() | exps)
+    return st.lists(entry, min_size=1, max_size=3).map(build)
+
+
+@pytest.mark.parametrize("affine", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_compose_matches_reference_on_families(n, affine):
+    family = toda_family(n, affine)
+    for a in family:
+        for b in family:
+            assert a.compose(b).to_json() == reference_compose(a, b).to_json()
+
+
+@pytest.mark.parametrize("mode", [GL, SL_QUOTIENT])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_compose_matches_reference_on_rational_coefficients(mode, data):
+    a = data.draw(rational_ops(mode=mode))
+    b = data.draw(st.one_of(rational_ops(mode=mode), small_ops(mode=mode)))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    assert a * b == reference_compose(a, b)
+
+
+def test_compose_rational_coefficient_example():
+    # a = (1 + e^(z1 - z2))^(-1) T_1 + e^(z1 - z2) T_2 and b = T_1 + T_2:
+    # T_1 T_2 collects a rational and a polynomial product
+    n = 3
+    e12 = TorusPoly.monomial(n, (1, -1, 0))
+    p = e12 + 1
+    a = DiffOp(n, {(1, 0, 0): TorusRat(TorusPoly.one(n), p),
+                   (0, 1, 0): TorusRat(e12)})
+    b = DiffOp.shift(n, (1, 0, 0)) + DiffOp.shift(n, (0, 1, 0))
+    ab = a * b
+    assert ab == reference_compose(a, b)
+    assert ab.terms[(1, 1, 0)] == TorusRat(e12 * p + 1, p)
+    assert ab.terms[(2, 0, 0)] == TorusRat(TorusPoly.one(n), p)
+    assert ab.terms[(0, 2, 0)] == TorusRat(e12)
+    # sigma_1 and sigma_2 act on 1 + e^(z1 - z2) as 1 + q^(+-1) e^(z1 - z2)
+    c = DiffOp(n, {(0, 0, 0): TorusRat(p)})
+    assert a * c == DiffOp(n, {
+        (1, 0, 0): TorusRat(e12 * Q(1) + 1, p),
+        (0, 1, 0): TorusRat(e12 * (e12 * Q(-1) + 1))})
 
 
 def test_compose_shift_past_coefficient():

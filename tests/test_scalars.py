@@ -114,6 +114,33 @@ def test_monomial_inverse_and_units():
         s.monomial_inverse()
 
 
+def test_integral_coefficients_are_ints():
+    for make in (LaurentQK.rational, lambda c: LaurentQK.monomial(c, q2=1)):
+        a, b = make(2), make(Fraction(4, 2))
+        assert a == b and hash(a) == hash(b)
+        assert a.to_json() == b.to_json() and a.text() == b.text()
+        assert all(type(c) is int for c in b.terms.values())
+    half = LaurentQK.rational(Fraction(1, 2))
+    assert half.to_json() == [[0, 0, 1, 2]] and half.text() == "1/2"
+    assert (half + half).to_json() == ONE.to_json()
+
+
+def test_monomial_inverse_is_exact():
+    inv = LaurentQK.monomial(2, q2=2, k=1).monomial_inverse()
+    (key, c), = inv.terms.items()
+    assert key == (-2, -1, 0, 0, 0)
+    assert isinstance(c, Fraction) and c == Fraction(1, 2)
+    (c,) = (-Q(1)).monomial_inverse().terms.values()
+    assert type(c) is int and c == -1
+
+
+def test_rational_value_is_a_fraction():
+    for s, want in ((LaurentQK.rational(3), 3), (ZERO, 0),
+                    (LaurentQK.rational(Fraction(-1, 3)), Fraction(-1, 3))):
+        value = s.rational_value()
+        assert type(value) is Fraction and value == want
+
+
 def test_substitute_k():
     s = ONE + K(1) * Q(1) + K(2) * 3
     assert s.substitute_k(0) == ONE
@@ -123,6 +150,7 @@ def test_substitute_k():
     t = K(-1)
     with pytest.raises(ZeroDivisionError):
         t.substitute_k(0)
+    assert t.substitute_k(2).terms == {(0,) * 5: Fraction(1, 2)}
 
 
 def test_json_round_trip_and_text():

@@ -84,6 +84,19 @@ def test_rat_cancellation_of_identical_factors():
     assert r == TorusRat.one(3)
 
 
+@settings(max_examples=30, deadline=None)
+@given(sl_polys())
+def test_rat_is_unhashable(p):
+    # equal values such as p/p and 1 have different representatives, so
+    # no hash can agree with the cross-multiplying equality
+    if not p.is_zero:
+        assert TorusRat(p, p) == TorusRat.one(N)
+        with pytest.raises(TypeError):
+            hash(TorusRat(p, p))
+    with pytest.raises(TypeError):
+        {TorusRat(p), TorusRat.one(N)}
+
+
 def test_rat_normalization_is_canonical():
     # (q^2 e^z1 - e^z2) / (e^z1 - e^z2) stays reduced with leading coeff 1
     num = mono((1, 0, 0)) * Q(2) - mono((0, 1, 0))
