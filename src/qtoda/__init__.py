@@ -20,7 +20,7 @@ from .diffop import (
 )
 from .qrep import (
     DynkinData, Orientation, RepData, build_orientation, fundamental_rep,
-    qp_normal_order, rmatrix_simple_factor, verify_serre_homomorphism,
+    qp_normal_order, verify_serre_homomorphism,
 )
 from .engine import (
     EngineConfig, NCWord, build_toda_operator, expand_central_words,
@@ -44,8 +44,7 @@ __all__ = [
     "DiffOp", "FactorCoeff", "FactorRule", "FormalFactorProduct",
     "RootLiftOp", "conjugate_by_factor_product", "sect6_automorphism",
     "DynkinData", "Orientation", "RepData", "build_orientation",
-    "fundamental_rep", "qp_normal_order", "rmatrix_simple_factor",
-    "verify_serre_homomorphism",
+    "fundamental_rep", "qp_normal_order", "verify_serre_homomorphism",
     "EngineConfig", "NCWord", "build_toda_operator", "expand_central_words",
     "toda_family", "verify_commuting_family", "whittaker_reduce",
     "DifferentialOp", "affine_classical_toda", "classical_combination_fit",

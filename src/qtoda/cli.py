@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 from math import comb
 
 from .scalars import LaurentQK
-from .diffop import sect6_automorphism
+from .torus import TorusError
+from .diffop import DiffOpError, sect6_automorphism
 from .engine import (
     EngineInvariantError, build_toda_operator, verify_commuting_family,
 )
@@ -109,7 +109,7 @@ def cmd_build(args):
     op = build_toda_operator(args.n, args.fund, affine=args.affine,
                              gauge=gauge, quotient=gauge)
     if args.k_value is not None:
-        op = op.substitute_k(Fraction(args.k_value))
+        op = op.substitute_k(args.k_value)
     payload = op.to_json()
     out = canonical_json(payload) if args.format == "json" \
         else op.text() + "\n"
@@ -287,33 +287,27 @@ def suite_cm_limit(n, elliptic):
     return report
 
 
-def _all_suites(max_n):
-    jobs = []
+def _all_reports(max_n):
+    """Every suite at every rank 2..max_n, in a fixed order."""
+    reports = []
     for n in range(2, max_n + 1):
-        jobs.append(("commute", lambda n=n: suite_commute(n, False)))
-        jobs.append(("commute", lambda n=n: suite_commute(n, True)))
-        jobs.append(("serre", lambda n=n: suite_serre(n, False)))
-        jobs.append(("serre", lambda n=n: suite_serre(n, True)))
-        jobs.append(("quasiclassical", lambda n=n: suite_quasiclassical(n)))
-        jobs.append(("automorphism", lambda n=n: suite_automorphism(n)))
-        jobs.append(("relativistic", lambda n=n: suite_relativistic(n)))
-        jobs.append(("macdonald-limit",
-                     lambda n=n: suite_macdonald_limit(n)))
-        jobs.append(("cm-limit", lambda n=n: suite_cm_limit(n, False)))
-        jobs.append(("cm-limit", lambda n=n: suite_cm_limit(n, True)))
-    return jobs
+        reports += [
+            suite_commute(n, False), suite_commute(n, True),
+            suite_serre(n, False), suite_serre(n, True),
+            suite_quasiclassical(n), suite_automorphism(n),
+            suite_relativistic(n), suite_macdonald_limit(n),
+            suite_cm_limit(n, False), suite_cm_limit(n, True)]
+    return reports
 
 
 def cmd_verify(args):
+    rank, flag = (args.max_n, "--max-n") if args.suite == "all" \
+        else (args.n, "--n")
+    if rank < 2:
+        print("error: %s must be at least 2" % flag, file=sys.stderr)
+        return EXIT_USAGE
     if args.suite == "all":
-        jobs = _all_suites(args.max_n)
-        threads = _thread_count()
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reports = list(pool.map(lambda job: job[1](), jobs))
-        else:
-            reports = [job[1]() for job in jobs]
+        reports = _all_reports(args.max_n)
     else:
         reports = [_single_suite(args)]
     ok = all(r.ok for r in reports)
@@ -351,17 +345,17 @@ def _single_suite(args):
     raise AssertionError(args.suite)
 
 
-def _thread_count():
-    raw = os.environ.get("QTODA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            "not an exact rational: %r" % text) from None
+
 
 def make_parser():
     parser = argparse.ArgumentParser(
@@ -375,15 +369,10 @@ def make_parser():
     b.add_argument("--fund", type=int, required=True,
                    help="which fundamental (exterior power)")
     b.add_argument("--affine", action="store_true")
-    group = b.add_mutually_exclusive_group()
-    group.add_argument("--k-symbolic", action="store_true", default=True)
-    group.add_argument("--k-value", type=str, default=None,
-                       help="substitute an exact rational for K")
-    b.add_argument("--orientation", choices=["default"], default="default")
-    mode = b.add_mutually_exclusive_group()
-    mode.add_argument("--raw", action="store_true",
-                      help="skip the Weyl-vector conjugation and quotient")
-    mode.add_argument("--rho-conjugated", action="store_true", default=True)
+    b.add_argument("--k-value", type=_rational, default=None,
+                   help="substitute an exact rational for K")
+    b.add_argument("--raw", action="store_true",
+                   help="skip the Weyl-vector conjugation and quotient")
     b.add_argument("--out", type=str, default=None)
     b.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -413,7 +402,7 @@ def main(argv=None):
     except QRepError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except EngineInvariantError as exc:
+    except (EngineInvariantError, DiffOpError, TorusError) as exc:
         print("internal invariant violated: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

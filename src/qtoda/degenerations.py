@@ -20,7 +20,9 @@ Three families of checks live here:
 from __future__ import annotations
 
 from .scalars import LaurentQK
-from .torus import TorusPoly, TorusRat, com_quotient_canonicalize
+from .torus import (
+    TorusPoly, TorusRat, add_terms, com_quotient_canonicalize, cyclic_root,
+)
 from .diffop import (
     GL, SL_QUOTIENT, DiffOp, FactorCoeff, FactorRule, FormalFactorProduct,
     UnresolvedFactorError, conjugate_by_factor_product,
@@ -104,18 +106,13 @@ class RationalInU:
 
 
 def _umul(a, b):
-    out = {}
-    for da, pa in a.items():
-        for db, pb in b.items():
-            d = da + db
-            prod = pa * pb
-            cur = out.get(d)
-            cur = prod if cur is None else cur + prod
-            if cur.is_zero:
-                out.pop(d, None)
-            else:
-                out[d] = cur
-    return out
+    return add_terms({}, ((da + db, pa * pb)
+                          for da, pa in a.items() for db, pb in b.items()))
+
+
+def _index_weight(lam):
+    """sum_j j * lam_j: the weight of e^(lam . z) under z_j -> z_j + j*c."""
+    return sum(j * x for j, x in enumerate(lam, start=1))
 
 
 def _substitute_drift(n, rat, extra_degree):
@@ -126,14 +123,13 @@ def _substitute_drift(n, rat, extra_degree):
     def convert(poly):
         out = {}
         for lam, c in poly.terms.items():
-            wdeg = sum((j + 1) * lam[j] for j in range(n))
+            wdeg = _index_weight(lam)
             # the t power of each scalar term joins the u degree
-            for key, frac in c.terms.items():
-                deg = key[3] + wdeg
-                mono = LaurentQK({(key[0], key[1], key[2], 0, key[4]): frac})
-                cur = out.setdefault(deg, TorusPoly.zero(n))
-                out[deg] = cur + TorusPoly.monomial(n, lam, mono)
-        return {d: p for d, p in out.items() if not p.is_zero}
+            add_terms(out, (
+                (key[3] + wdeg, TorusPoly.monomial(
+                    n, lam, LaurentQK({key[:3] + (0, key[4]): frac})))
+                for key, frac in c.terms.items()))
+        return out
 
     num = convert(rat.num)
     den = convert(rat.den)
@@ -169,10 +165,8 @@ def macdonald_limit_closed_form(n):
         if i == n:
             coeff = TorusRat.one(n)
         else:
-            lam = [0] * n
-            lam[i - 1], lam[i] = 1, -1
             coeff = TorusRat(TorusPoly.one(n)
-                             - TorusPoly.monomial(n, tuple(lam)))
+                             - TorusPoly.monomial(n, cyclic_root(n, i)))
         terms[tuple(mu)] = coeff
     return DiffOp(n, terms, SL_QUOTIENT)
 
@@ -193,11 +187,8 @@ def rescale_root_exponentials(op, s):
         return s.monomial_inverse() ** (-w)
 
     def scale_poly(poly):
-        out = TorusPoly.zero(op.n)
-        for lam, c in poly.terms.items():
-            w = -sum((j + 1) * lam[j] for j in range(op.n))
-            out = out + TorusPoly.monomial(op.n, lam, c * power(w))
-        return out
+        return TorusPoly(op.n, {lam: c * power(-_index_weight(lam))
+                                for lam, c in poly.terms.items()})
 
     terms = {}
     for mu, f in op.terms.items():
@@ -220,15 +211,12 @@ def toda_z_form(n, affine=True):
     op = DiffOp(n, terms, SL_QUOTIENT)
     top = n if affine else n - 1
     for i in range(1, top + 1):
-        lam = [0] * n
-        lam[i - 1] += 1
-        lam[i % n] -= 1
         mu = [0] * n
         mu[i - 1] += 1
         mu[i % n] += 1
         scal = -_c2() * (LaurentQK.k(1) if (affine and i == n) else 1)
         op = op + DiffOp(n, {tuple(mu): TorusRat.monomial(
-            n, tuple(lam), scal)}, SL_QUOTIENT)
+            n, cyclic_root(n, i), scal)}, SL_QUOTIENT)
     return op
 
 
@@ -242,11 +230,8 @@ def toda_simplified_form(n, affine=True):
         mu[i - 1] = 2
         coeff = TorusPoly.one(n)
         if i <= top:
-            lam = [0] * n
-            lam[i - 1] += 1
-            lam[i % n] -= 1
             scal = -_c2() * (LaurentQK.k(1) if (affine and i == n) else 1)
-            coeff = coeff + TorusPoly.monomial(n, tuple(lam), scal)
+            coeff = coeff + TorusPoly.monomial(n, cyclic_root(n, i), scal)
         op = op + DiffOp(n, {tuple(mu): TorusRat(coeff)}, SL_QUOTIENT)
     return op
 
@@ -262,11 +247,8 @@ def relativistic_resolved_form(n, periodic, q_offset=0, tau_direction=1):
         mu[i - 1] = 2 * tau_direction
         coeff = TorusPoly.one(n)
         if i <= top:
-            lam = [0] * n
-            lam[i - 1] += 1
-            lam[i % n] -= 1
             coeff = coeff + TorusPoly.monomial(
-                n, tuple(lam), LaurentQK.g2(1) * Q(q_offset))
+                n, cyclic_root(n, i), LaurentQK.g2(1) * Q(q_offset))
         op = op + DiffOp(n, {tuple(mu): TorusRat(coeff)}, SL_QUOTIENT)
     return op
 
@@ -288,22 +270,6 @@ def substitute_g2(op, value):
 def embed_kroot(op, root_degree):
     """Rewrite K powers through the fractional slot kr = K^(1/root_degree)."""
     return op.scalar_map(lambda c: c.embed_kroot(root_degree))
-
-
-def periodic_variable_shift(op, n):
-    """The change z_i -> z_i - (i/N) ln K on coefficients: each monomial
-    e^(lam . z) picks up kr^(-sum_j j lam_j) with kr = K^(1/N)."""
-
-    def scale_poly(poly):
-        out = TorusPoly.zero(n)
-        for lam, c in poly.terms.items():
-            w = sum((j + 1) * lam[j] for j in range(n))
-            out = out + TorusPoly.monomial(n, lam, c * LaurentQK.kroot(-w))
-        return out
-
-    terms = {mu: TorusRat(scale_poly(f.num), scale_poly(f.den))
-             for mu, f in op.terms.items()}
-    return DiffOp(op.n, terms, op.mode)
 
 
 def relativistic_catalog(n):
@@ -337,13 +303,6 @@ def _psi_rule(n):
     return FactorRule("psi", 2, multiplier)
 
 
-def _cyclic_form(n, i):
-    lam = [0] * n
-    lam[(i - 1) % n] += 1
-    lam[i % n] -= 1
-    return tuple(lam)
-
-
 def relativistic_hamiltonian(n, periodic, tau_direction):
     """The nearest-neighbour square-root Hamiltonian
     sum_i f(z_(i-1) - z_i) T f(z_i - z_(i+1)) in factor-symbol form, with
@@ -361,9 +320,9 @@ def relativistic_hamiltonian(n, periodic, tau_direction):
         mu[i - 1] = 2 * tau_direction
         coeff = FactorCoeff.one(n)
         if periodic or i > 1:
-            coeff = coeff * FactorCoeff.fsym(n, _cyclic_form(n, i - 1), 0, 1)
+            coeff = coeff * FactorCoeff.fsym(n, cyclic_root(n, i - 1), 0, 1)
         if periodic or i < n:
-            right = FactorCoeff.fsym(n, _cyclic_form(n, i), 0, 1)
+            right = FactorCoeff.fsym(n, cyclic_root(n, i), 0, 1)
             coeff = coeff * right.shift_substitute(tuple(mu))
         key = tuple(mu)
         if key in coeffs:
@@ -386,7 +345,7 @@ def relativistic_gauge_check(n, periodic=True):
     rule = _psi_rule(n)
     top = n if periodic else n - 1
     product = FormalFactorProduct(
-        n, [(rule, _cyclic_form(n, i)) for i in range(1, top + 1)])
+        n, [(rule, cyclic_root(n, i)) for i in range(1, top + 1)])
     outcomes = {}
     for direction in (1, -1):
         ham = relativistic_hamiltonian(n, periodic, direction)
@@ -442,9 +401,9 @@ def _uniform_offset(op, n, periodic, direction):
             if rest:
                 return None
             continue
-        if set(rest) != {_cyclic_form(n, i)}:
+        if set(rest) != {cyclic_root(n, i)}:
             return None
-        c = rest[_cyclic_form(n, i)]
+        c = rest[cyclic_root(n, i)]
         if len(c.terms) != 1:
             return None
         (key2, frac), = c.terms.items()
@@ -476,7 +435,7 @@ def periodic_matching_exponent(n):
     the variable shift z_i -> z_i - (i/N) ln K, reproduces the simplified
     affine form exactly.  Returns (t, checked exponents)."""
     target = embed_kroot(toda_simplified_form(n, affine=True), n)
-    target = periodic_variable_shift(target, n)
+    target = rescale_root_exponentials(target, LaurentQK.kroot(1))
     tried = {}
     found = None
     for t in (1, 2):

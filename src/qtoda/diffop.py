@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import LaurentQK
+from .scalars import LaurentQK, as_scalar
 from .torus import (
     TorusPoly, TorusRat,
-    check_vector, com_quotient_canonicalize, dot, vadd,
+    add_terms, check_vector, com_quotient_canonicalize, cyclic_root, dot,
+    root_form, vadd,
 )
 
 GL = "gl"
@@ -39,16 +40,6 @@ class UnresolvedFactorError(DiffOpError):
     """A gauge conjugation left unmatched formal factor symbols."""
 
 
-def cyclic_root(n, i):
-    """Simple root alpha_i = e_i - e_(i+1) with indices cyclic mod n
-    (i = n, equivalently 0, gives e_n - e_1)."""
-    i = ((i - 1) % n) + 1
-    v = [0] * n
-    v[i - 1] += 1
-    v[i % n] -= 1
-    return tuple(v)
-
-
 class DiffOp:
     __slots__ = ("n", "mode", "terms")
 
@@ -57,28 +48,24 @@ class DiffOp:
             raise DiffOpError("unknown mode %r" % mode)
         self.n = n
         self.mode = mode
-        clean = {}
-        if terms:
-            for mu, f in terms.items():
-                mu = check_vector(mu, n)
-                if mode == SL_QUOTIENT:
-                    mu = com_quotient_canonicalize(mu)
-                if not isinstance(f, TorusRat):
-                    f = TorusRat(f) if isinstance(f, TorusPoly) else \
-                        TorusRat(TorusPoly.constant(n, _scalar(f)))
-                if f.is_zero:
-                    continue
-                if mode == SL_QUOTIENT and not f.sl_balanced():
-                    raise DiffOpError(
-                        "coefficient of T%s does not descend to the "
-                        "simultaneous-shift quotient" % (mu,))
-                prev = clean.get(mu)
-                s = f if prev is None else prev + f
-                if s.is_zero:
-                    clean.pop(mu, None)
-                else:
-                    clean[mu] = s
-        self.terms = clean
+        self.terms = add_terms({}, self._checked(terms)) if terms else {}
+
+    def _checked(self, terms):
+        n, quotient = self.n, self.mode == SL_QUOTIENT
+        for mu, f in terms.items():
+            mu = check_vector(mu, n)
+            if quotient:
+                mu = com_quotient_canonicalize(mu)
+            if not isinstance(f, TorusRat):
+                f = TorusRat(f) if isinstance(f, TorusPoly) else \
+                    TorusRat(TorusPoly.constant(n, f))
+            if f.is_zero:
+                continue
+            if quotient and not f.sl_balanced():
+                raise DiffOpError(
+                    "coefficient of T%s does not descend to the "
+                    "simultaneous-shift quotient" % (mu,))
+            yield mu, f
 
     # -- constructors ----------------------------------------------------
 
@@ -105,15 +92,7 @@ class DiffOp:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        terms = dict(self.terms)
-        for mu, f in other.terms.items():
-            s = terms.get(mu)
-            s = f if s is None else s + f
-            if s.is_zero:
-                terms.pop(mu, None)
-            else:
-                terms[mu] = s
-        return self._wrap(terms)
+        return self._wrap(add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return self._wrap({mu: -f for mu, f in self.terms.items()})
@@ -141,7 +120,7 @@ class DiffOp:
         if isinstance(other, DiffOp):
             return other
         if isinstance(other, (int, LaurentQK)):
-            return DiffOp(self.n, {(0,) * self.n: _scalar(other)}, self.mode)
+            return DiffOp(self.n, {(0,) * self.n: other}, self.mode)
         raise TypeError("cannot coerce %r" % (other,))
 
     def _wrap(self, terms):
@@ -206,7 +185,8 @@ class DiffOp:
                     p = f * g.shift_substitute(mu)
                     prev = rats.get(key)
                     rats[key] = p if prev is None else prev + p
-        terms = {key: TorusRat(TorusPoly(self.n, acc))
+        terms = {key: TorusRat(TorusPoly._wrap(
+                     self.n, {e: c for e, c in acc.items() if c}))
                  for key, acc in polys.items()}
         for key, r in rats.items():
             terms[key] = terms[key] + r if key in terms else r
@@ -295,10 +275,6 @@ class DiffOp:
         return DiffOp(n, terms, data["mode"])
 
 
-def _scalar(x):
-    return x if isinstance(x, LaurentQK) else LaurentQK.rational(x)
-
-
 # ---------------------------------------------------------------------------
 # The root-exponential generator automorphism
 # ---------------------------------------------------------------------------
@@ -316,22 +292,9 @@ class RootLiftOp:
 
     def __init__(self, n, terms=None):
         self.n = n
-        clean = {}
-        if terms:
-            for (m, mu), c in terms.items():
-                m = check_vector(m, n)
-                mu = check_vector(mu, n)
-                c = _scalar(c)
-                if c.is_zero:
-                    continue
-                key = (m, mu)
-                prev = clean.get(key)
-                s = c if prev is None else prev + c
-                if s.is_zero:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = s
-        self.terms = clean
+        self.terms = add_terms({}, (
+            ((check_vector(m, n), check_vector(mu, n)), as_scalar(c))
+            for (m, mu), c in terms.items())) if terms else {}
 
     @staticmethod
     def generator_e(n, i, power=1):
@@ -345,25 +308,9 @@ class RootLiftOp:
         mu[j - 1] = power
         return RootLiftOp(n, {((0,) * n, tuple(mu)): LaurentQK.one()})
 
-    def root_form(self, m):
-        """The exponent vector sum_i m_i alpha_i of a winding monomial."""
-        lam = [0] * self.n
-        for i, mi in enumerate(m, start=1):
-            if mi:
-                r = cyclic_root(self.n, i)
-                lam = [a + mi * b for a, b in zip(lam, r)]
-        return tuple(lam)
-
     def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return RootLiftOp(self.n, terms)
+        return RootLiftOp(self.n,
+                          add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return RootLiftOp(self.n, {k: -c for k, c in self.terms.items()})
@@ -373,23 +320,15 @@ class RootLiftOp:
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQK)):
-            s = _scalar(other)
+            s = as_scalar(other)
             return RootLiftOp(self.n,
                               {k: c * s for k, c in self.terms.items()})
-        terms = {}
-        for (m1, mu1), c1 in self.terms.items():
-            for (m2, mu2), c2 in other.terms.items():
-                # T_mu1 E^m2 = q^(lam2 . mu1) E^m2 T_mu1
-                lam2 = self.root_form(m2)
-                c = c1 * c2 * LaurentQK.q(dot(lam2, mu1))
-                key = (vadd(m1, m2), vadd(mu1, mu2))
-                s = terms.get(key)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        return RootLiftOp(self.n, terms)
+        # T_mu1 E^m2 = q^(lam2 . mu1) E^m2 T_mu1
+        return RootLiftOp(self.n, add_terms({}, (
+            ((vadd(m1, m2), vadd(mu1, mu2)),
+             c1 * c2 * LaurentQK.q(dot(root_form(m2), mu1)))
+            for (m1, mu1), c1 in self.terms.items()
+            for (m2, mu2), c2 in other.terms.items())))
 
     __rmul__ = __mul__
 
@@ -403,37 +342,22 @@ class RootLiftOp:
 
     def to_diffop(self, mode=SL_QUOTIENT):
         """Forget the winding: E^m becomes the torus monomial e^(lam . z)."""
-        out = DiffOp.zero(self.n, mode)
-        for (m, mu), c in self.terms.items():
-            lam = self.root_form(m)
-            coeff = TorusRat.monomial(self.n, lam, c)
-            out = out + DiffOp(self.n, {mu: coeff}, mode)
-        return out
+        return DiffOp(self.n, add_terms({}, (
+            (mu, TorusRat.monomial(self.n, root_form(m), c))
+            for (m, mu), c in self.terms.items())), mode)
 
     @staticmethod
     def from_diffop(op):
         """Lift each coefficient monomial with the minimum-entry-zero
         winding representative.  Coefficients must be polynomial with
         zero-sum exponents (Laurent combinations of root exponentials)."""
-        n = op.n
         terms = {}
         for mu, f in op.terms.items():
             if not f.is_polynomial():
                 raise DiffOpError("cannot lift a non-polynomial coefficient")
-            for lam, c in f.as_poly().terms.items():
-                if sum(lam) != 0:
-                    raise DiffOpError(
-                        "coefficient exponent %s is not in the root lattice"
-                        % (lam,))
-                m = _min_zero_lift(lam)
-                key = (m, mu)
-                prev = terms.get(key)
-                s = c if prev is None else prev + c
-                if s.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        return RootLiftOp(n, terms)
+            add_terms(terms, (((_min_zero_lift(lam), mu), c)
+                              for lam, c in f.num.terms.items()))
+        return RootLiftOp(op.n, terms)
 
     def __repr__(self):
         parts = []
@@ -446,6 +370,9 @@ class RootLiftOp:
 def _min_zero_lift(lam):
     """Winding vector m with sum_i m_i alpha_i = lam (cyclic roots) and
     min(m) = 0: partial sums of lam, shifted."""
+    if sum(lam) != 0:
+        raise DiffOpError(
+            "coefficient exponent %s is not in the root lattice" % (lam,))
     m = []
     acc = 0
     for x in lam[:-1]:
@@ -474,30 +401,20 @@ def sect6_automorphism(op):
         lifted = RootLiftOp.from_diffop(op)
         return sect6_automorphism(lifted).to_diffop(op.mode)
     n = op.n
-    terms = {}
-    for (m, mu), c in op.terms.items():
-        s = 0
-        for i, mi in enumerate(m, start=1):
-            s += mi * (mi - 1)
-            di = cyclic_root(n, i)
-            for j in range(i + 1, n + 1):
-                mj = m[j - 1]
-                if mj:
-                    s += mi * mj * dot(cyclic_root(n, j), di)
-        shift = [0] * n
-        for i, mi in enumerate(m, start=1):
-            if mi:
-                r = cyclic_root(n, i)
-                shift = [a + mi * b for a, b in zip(shift, r)]
-        key = (m, vadd(mu, tuple(shift)))
-        c2 = c * LaurentQK.q(s)
-        prev = terms.get(key)
-        tot = c2 if prev is None else prev + c2
-        if tot.is_zero:
-            terms.pop(key, None)
-        else:
-            terms[key] = tot
-    return RootLiftOp(n, terms)
+    roots = [cyclic_root(n, i) for i in range(1, n + 1)]
+
+    def q_power(m):
+        out = 0
+        for i, mi in enumerate(m):
+            out += mi * (mi - 1)
+            for j in range(i + 1, n):
+                if m[j]:
+                    out += mi * m[j] * dot(roots[j], roots[i])
+        return out
+
+    return RootLiftOp(n, add_terms({}, (
+        ((m, vadd(mu, root_form(m))), c * LaurentQK.q(q_power(m)))
+        for (m, mu), c in op.terms.items())))
 
 
 # ---------------------------------------------------------------------------

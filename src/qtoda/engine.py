@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalars import LaurentQK
-from .torus import TorusRat, dot, vadd
+from .torus import TorusPoly, add_terms, dot, vadd
 from .diffop import GL, DiffOp
 from .qrep import (
     Orientation, QRepError, build_orientation, fundamental_rep,
@@ -178,10 +178,12 @@ def whittaker_reduce(words, cfg, symbolic_beta=False):
     With symbolic_beta=True the character values are left unevaluated and
     the result is a dict mapping each matched letter set to its operator
     part, exhibiting the commutative-subalgebra structure.
+
+    Every word adds one scalar at (shift, root-sum exponent); each part
+    becomes one operator at the end.
     """
     n = cfg.n
-    out = DiffOp.zero(n, GL)
-    graded = {}
+    parts = {}   # letter set (None when evaluated) -> shift -> exp -> scalar
     for w in words:
         if w.z_degree != 0:
             raise EngineInvariantError(
@@ -197,19 +199,21 @@ def whittaker_reduce(words, cfg, symbolic_beta=False):
                 "letter multisets differ in %r" % (w,))
         scalar = (w.coeff * scal_e * scal_f
                   * LaurentQK.q_half(2 * rho_pairing2(n, w.post)))
-        roots = _root_sum(cfg.dynkin, w.f_nodes)
-        shift = vadd(w.pre, w.post)
-        coeff = TorusRat.monomial(n, roots, scalar)
-        term = DiffOp(n, {shift: coeff}, GL)
         if symbolic_beta:
             key = tuple(sorted(sorted_e))
-            graded[key] = graded.get(key, DiffOp.zero(n, GL)) + term
         else:
+            key = None
             beta = LaurentQK.one()
             for i in sorted_e:
                 beta = beta * cfg.beta[i]
-            out = out + term * beta
-    return graded if symbolic_beta else out
+            scalar = scalar * beta
+        shifts = parts.setdefault(key, {})
+        add_terms(shifts.setdefault(vadd(w.pre, w.post), {}),
+                  ((_root_sum(cfg.dynkin, w.f_nodes), scalar),))
+    ops = {key: DiffOp(n, {mu: TorusPoly(n, poly)
+                           for mu, poly in shifts.items()}, GL)
+           for key, shifts in parts.items()}
+    return ops if symbolic_beta else ops.get(None, DiffOp.zero(n, GL))
 
 
 # ---------------------------------------------------------------------------

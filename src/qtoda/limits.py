@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
-from .scalars import LaurentQK, IllPosedLimitError, jet_expand
-from .torus import TorusPoly
+from .scalars import HbarJet, LaurentQK, jet_divide, jet_expand
+from .torus import TorusPoly, add_terms, cyclic_root
 from .diffop import SL_QUOTIENT
 from .qrep import weyl_vector
 
@@ -43,23 +44,16 @@ class DifferentialOp:
 
     def __init__(self, n, terms=None):
         self.n = n
-        clean = {}
-        if terms:
-            for gamma, coeff in terms.items():
-                gamma = tuple(gamma)
-                if len(gamma) != n or any(g < 0 for g in gamma):
-                    raise LimitError("bad derivative index %s" % (gamma,))
-                if not isinstance(coeff, TorusPoly):
-                    coeff = TorusPoly.constant(n, _scalar(coeff))
-                if coeff.is_zero:
-                    continue
-                prev = clean.get(gamma)
-                s = coeff if prev is None else prev + coeff
-                if s.is_zero:
-                    clean.pop(gamma, None)
-                else:
-                    clean[gamma] = s
-        self.terms = clean
+        self.terms = add_terms({}, self._checked(terms)) if terms else {}
+
+    def _checked(self, terms):
+        for gamma, coeff in terms.items():
+            gamma = tuple(gamma)
+            if len(gamma) != self.n or any(g < 0 for g in gamma):
+                raise LimitError("bad derivative index %s" % (gamma,))
+            if not isinstance(coeff, TorusPoly):
+                coeff = TorusPoly.constant(self.n, coeff)
+            yield gamma, coeff
 
     @staticmethod
     def zero(n):
@@ -67,15 +61,8 @@ class DifferentialOp:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            s = terms.get(g)
-            s = c if s is None else s + c
-            if s.is_zero:
-                terms.pop(g, None)
-            else:
-                terms[g] = s
-        return DifferentialOp(self.n, terms)
+        return DifferentialOp(
+            self.n, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return DifferentialOp(self.n, {g: -c for g, c in self.terms.items()})
@@ -95,9 +82,7 @@ class DifferentialOp:
                 raise LimitError("rank mismatch")
             return other
         if isinstance(other, (int, LaurentQK)):
-            return DifferentialOp(
-                self.n, {(0,) * self.n: TorusPoly.constant(self.n,
-                                                           _scalar(other))})
+            return DifferentialOp(self.n, {(0,) * self.n: other})
         raise TypeError("cannot coerce %r" % (other,))
 
     def __eq__(self, other):
@@ -117,24 +102,22 @@ class DifferentialOp:
     def sl_reduce(self):
         """Eliminate the last derivative: d_N -> -(d_1 + ... + d_(N-1)),
         expanded multinomially, then recanonicalized."""
+        return DifferentialOp(self.n, add_terms({}, self._sl_terms()))
+
+    def _sl_terms(self):
         n = self.n
-        out = DifferentialOp.zero(n)
         for gamma, coeff in self.terms.items():
             m = gamma[-1]
             if m == 0:
-                out = out + DifferentialOp(n, {gamma: coeff})
+                yield gamma, coeff
                 continue
-            base = gamma[:-1]
+            sign = -1 if m % 2 else 1
             for combo in itertools.combinations_with_replacement(
                     range(n - 1), m):
-                mult = _multinomial(combo, m)
-                g = list(base) + [0]
+                g = list(gamma[:-1]) + [0]
                 for j in combo:
                     g[j] += 1
-                sign = -1 if m % 2 else 1
-                out = out + DifferentialOp(
-                    n, {tuple(g): coeff * (sign * mult)})
-        return out
+                yield tuple(g), coeff * (sign * _multinomial(combo, m))
 
     def apply_to_monomial(self, lam):
         """The scalar-valued symbol of the operator on e^(lam . z):
@@ -172,18 +155,13 @@ class DifferentialOp:
                 for rec in data["terms"]})
 
 
-def _scalar(x):
-    return x if isinstance(x, LaurentQK) else LaurentQK.rational(x)
-
-
 def _multinomial(combo, m):
-    import math
     counts = {}
     for j in combo:
         counts[j] = counts.get(j, 0) + 1
-    out = math.factorial(m)
+    out = factorial(m)
     for v in counts.values():
-        out //= math.factorial(v)
+        out //= factorial(v)
     return out
 
 
@@ -191,22 +169,19 @@ def _multinomial(combo, m):
 # Classical catalog
 # ---------------------------------------------------------------------------
 
+def _half_laplacian(n):
+    """-(1/2) sum_j d_j^2 as a derivative index -> coefficient dict."""
+    return {tuple(2 * (i == j) for i in range(n)): Fraction(-1, 2)
+            for j in range(n)}
+
+
 def classical_toda(n):
     """-(1/2) Laplacian + sum of simple-root exponentials, in Z^N
     coordinates (sl reduction applied)."""
-    op = DifferentialOp.zero(n)
-    for j in range(n):
-        g = [0] * n
-        g[j] = 2
-        op = op + DifferentialOp(
-            n, {tuple(g): TorusPoly.constant(n, LaurentQK.rational(
-                Fraction(-1, 2)))})
-    for i in range(1, n):
-        lam = [0] * n
-        lam[i - 1], lam[i] = 1, -1
-        op = op + DifferentialOp(
-            n, {(0,) * n: TorusPoly.monomial(n, tuple(lam))})
-    return op.sl_reduce()
+    terms = _half_laplacian(n)
+    terms[(0,) * n] = TorusPoly(n, {cyclic_root(n, i): 1
+                                    for i in range(1, n)})
+    return DifferentialOp(n, terms).sl_reduce()
 
 
 def affine_classical_toda(n):
@@ -224,29 +199,18 @@ def affine_classical_toda(n):
 # ---------------------------------------------------------------------------
 
 class OperatorJet:
-    """Truncated hbar expansion with DifferentialOp coefficients; orders
-    run from ``floor`` (possibly negative) to ``order``."""
+    """Truncated hbar expansion with DifferentialOp coefficients for the
+    orders 0..``order``."""
 
-    __slots__ = ("n", "order", "floor", "coeffs")
+    __slots__ = ("n", "order", "coeffs")
 
-    def __init__(self, n, order, coeffs, floor=0):
+    def __init__(self, n, order, coeffs):
         self.n = n
         self.order = order
-        self.floor = floor
         self.coeffs = dict(coeffs)
 
     def coeff(self, k):
         return self.coeffs.get(k, DifferentialOp.zero(self.n))
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        floor = min(self.floor, other.floor)
-        out = {}
-        for k in range(floor, order + 1):
-            s = self.coeff(k) + other.coeff(k)
-            if not s.is_zero:
-                out[k] = s
-        return OperatorJet(self.n, order, out, floor)
 
 
 def difference_op_jet(op, order):
@@ -254,28 +218,24 @@ def difference_op_jet(op, order):
     becomes the truncated exponential of hbar * (mu . d), and every scalar
     is jet-expanded; coefficients must be polynomial."""
     n = op.n
-    coeffs = {k: DifferentialOp.zero(n) for k in range(order + 1)}
+    coeffs = [{} for _ in range(order + 1)]    # order -> {gamma: poly}
     for mu, f in op.terms.items():
-        poly = f.as_poly()
-        for lam, scal in poly.terms.items():
+        # powers of the directional derivative mu . d
+        dir_pows = _directional_powers(n, mu, order)
+        for lam, scal in f.as_poly().terms.items():
             sjet = jet_expand(scal, order)
-            # powers of the directional derivative mu . d
-            dir_pows = _directional_powers(n, mu, order)
             for m in range(order + 1):
-                fact = 1
-                for i in range(2, m + 1):
-                    fact *= i
+                fact = factorial(m)
                 for k in range(m, order + 1):
                     s = sjet.coeffs[k - m]
                     if s.is_zero:
                         continue
-                    for gamma, mult in dir_pows[m].items():
-                        contrib = TorusPoly.monomial(
-                            n, lam, s * Fraction(mult, fact))
-                        coeffs[k] = coeffs[k] + DifferentialOp(
-                            n, {gamma: contrib})
-    return OperatorJet(n, order, {k: v for k, v in coeffs.items()
-                                  if not v.is_zero})
+                    add_terms(coeffs[k], (
+                        (gamma, TorusPoly.monomial(
+                            n, lam, s * Fraction(mult, fact)))
+                        for gamma, mult in dir_pows[m].items()))
+    return OperatorJet(n, order, {k: DifferentialOp(n, terms)
+                                  for k, terms in enumerate(coeffs) if terms})
 
 
 def _directional_powers(n, mu, order):
@@ -294,64 +254,31 @@ def _directional_powers(n, mu, order):
     return out
 
 
-def quasiclassical_limit(op, dim_v, order=2):
+def quasiclassical_limit(op, dim_v):
     """The hbar -> 0 limit of (op - dim_v) / (q - q^(-1))^2.
 
     The constant term must cancel exactly, the hbar^(-1) part must vanish
     after sl reduction (it is proportional to the total derivative), and
-    the hbar^0 part is returned sl-reduced.  ``order`` controls how many
-    expansion orders beyond the minimum are carried (the result is the
-    same for any admissible value; raising it only tightens the internal
-    consistency window).
+    the hbar^0 part is returned sl-reduced.  Those two quotient orders
+    need the operator jet to order 2 and hbar^2 / (q - q^(-1))^2 to
+    order 1.
     """
     if op.mode != SL_QUOTIENT:
         raise LimitError("quasiclassical limit expects a quotient-mode input")
     n = op.n
-    need = order + 2
-    jet = difference_op_jet(op, need)
-    const = jet.coeff(0) - DifferentialOp(
-        n, {(0,) * n: TorusPoly.constant(n, _scalar(dim_v))})
+    jet = difference_op_jet(op, 2)
+    const = jet.coeff(0) - DifferentialOp(n, {(0,) * n: dim_v})
     if not const.is_zero:
         raise LimitError("constant term %s does not cancel the dimension"
                          % const.text())
-    numerator = OperatorJet(n, need, {k: jet.coeff(k)
-                                      for k in range(1, need + 1)})
-    c2 = jet_expand((LaurentQK.q(1) - LaurentQK.q(-1)) ** 2, need)
-    # invert c2 / (4 hbar^2): a unit power series
-    inv = _invert_unit_series([c2.coeffs[k + 2] for k in range(need - 1)],
-                              need - 1)
-    # quotient orders: k_num - 2 for k_num = 1..need
-    quot = {}
-    for k in range(1, need + 1):
-        acc = DifferentialOp.zero(n)
-        for i in range(1, k + 1):
-            j = k - i
-            if j <= need - 1:
-                acc = acc + numerator.coeff(i) * inv[j]
-        if not acc.is_zero:
-            quot[k - 2] = acc
-    residue = quot.get(-1, DifferentialOp.zero(n)).sl_reduce()
+    # (q - q^(-1))^2 = 4 hbar^2 + O(hbar^4); invert it divided by hbar^2
+    c2 = jet_expand((LaurentQK.q(1) - LaurentQK.q(-1)) ** 2, 3)
+    inv = jet_divide(HbarJet.constant(1, 1), HbarJet(1, c2.coeffs[2:])).coeffs
+    residue = (jet.coeff(1) * inv[0]).sl_reduce()
     if not residue.is_zero:
         raise LimitError("hbar^(-1) part survives sl reduction: %s"
                          % residue.text())
-    return quot.get(0, DifferentialOp.zero(n)).sl_reduce()
-
-
-def _invert_unit_series(coeffs, order):
-    """Inverse of a power series whose constant term is an invertible
-    monomial scalar; coefficient list starts at order 0."""
-    lead = coeffs[0]
-    if not lead.is_monomial():
-        raise IllPosedLimitError("series leading coefficient not a unit")
-    inv0 = lead.monomial_inverse()
-    out = [inv0]
-    for k in range(1, order + 1):
-        acc = LaurentQK.zero()
-        for i in range(1, k + 1):
-            c = coeffs[i] if i < len(coeffs) else LaurentQK.zero()
-            acc = acc + c * out[k - i]
-        out.append(-inv0 * acc)
-    return out
+    return (jet.coeff(1) * inv[1] + jet.coeff(2) * inv[0]).sl_reduce()
 
 
 def classical_combination_fit(limit_op, candidates):
@@ -487,13 +414,6 @@ def cm_limit(n, elliptic=False, window=3):
                                      % (root, m))
                 terms.append(SinhTerm(root, lam, -m, prefactor))
     certificates = []
-    total = DifferentialOp.zero(n)
-    for j in range(n):
-        g = [0] * n
-        g[j] = 2
-        total = total + DifferentialOp(
-            n, {tuple(g): TorusPoly.constant(
-                n, LaurentQK.rational(Fraction(-1, 2)))})
     potential = TorusPoly.zero(n)
     for t in terms:
         deg = t.survivor_degree()
@@ -515,7 +435,10 @@ def cm_limit(n, elliptic=False, window=3):
         # tail certificate: |rate + m N| >= 2 for every |m| > window,
         # since |lam| grows by N per lattice step and N >= 2
         for i in range(1, n):
-            assert abs(i - (window + 1) * n) >= 2 and \
-                abs(i + (window + 1) * n) >= 2
-    total = total + DifferentialOp(n, {(0,) * n: potential})
-    return total.sl_reduce(), certificates
+            if abs(i - (window + 1) * n) < 2 or \
+                    abs(i + (window + 1) * n) < 2:
+                raise LimitError(
+                    "tail certificate fails beyond window %d" % window)
+    terms = _half_laplacian(n)
+    terms[(0,) * n] = potential
+    return DifferentialOp(n, terms).sl_reduce(), certificates

@@ -22,6 +22,7 @@ import itertools
 from fractions import Fraction
 
 from .scalars import LaurentQK, q_binomial
+from .torus import cyclic_root
 
 
 class QRepError(ValueError):
@@ -65,14 +66,7 @@ class DynkinData:
 
     def simple_root(self, i):
         """alpha_i in Z^N coordinates; node 0 gives e_N - e_1."""
-        v = [0] * self.n
-        if i == 0:
-            v[self.n - 1] += 1
-            v[0] -= 1
-        else:
-            v[i - 1] += 1
-            v[i] -= 1
-        return tuple(v)
+        return cyclic_root(self.n, i)
 
 
 def weyl_vector(n):
@@ -82,10 +76,13 @@ def weyl_vector(n):
 
 
 def rho_pairing2(n, vec):
-    """2*(rho . vec) as an exact integer."""
-    p = 2 * sum(r * v for r, v in zip(weyl_vector(n), vec))
-    assert p.denominator == 1
-    return int(p)
+    """2*(rho . vec) = sum_j (N + 1 - 2j) vec_j for an integer vector."""
+    total = 0
+    for j, v in enumerate(vec, start=1):
+        if v != int(v):
+            raise QRepError("rho pairing needs integer entries, got %s" % v)
+        total += (n + 1 - 2 * j) * int(v)
+    return total
 
 
 class Orientation:
@@ -326,28 +323,3 @@ def fundamental_rep(n, k, affine=False):
     if not rep.nilpotency_check():
         raise QRepError("representation is not minuscule")
     return rep
-
-
-def rmatrix_simple_factor(rep, i, transposed=False):
-    """The exact two-term truncation of the simple-root factor of the
-    R-matrix on a minuscule module.
-
-    Returns a dict describing 1 + (q - q^(-1)) * letter (x) action, where
-    the action is f_i on the module for the plain factor and e_i for the
-    flipped-leg factor.  Truncation beyond the linear term is exact because
-    the generator squares to zero; a non-nilpotent action is an error.
-    """
-    if i not in rep.nodes:
-        raise QRepError("node %s not in representation" % (i,))
-    action = rep.e_action[i] if transposed else rep.f_action[i]
-    for s, t in action.items():
-        if t in action:
-            raise QRepError("action of node %d is not square-zero" % i)
-    d = 1  # type A symmetrizer
-    return {
-        "node": i,
-        "letter": ("f" if transposed else "e", i),
-        "coefficient": LaurentQK.q(d) - LaurentQK.q(-d),
-        "action": action,
-        "z_degree": -rep.z_degree[i] if not transposed else rep.z_degree[i],
-    }

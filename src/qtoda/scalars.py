@@ -342,6 +342,12 @@ def _promote(x):
     raise TypeError("cannot promote %r to LaurentQK" % (x,))
 
 
+def as_scalar(x):
+    """x itself if it is a LaurentQK, else the constant scalar of its exact
+    rational value."""
+    return x if isinstance(x, LaurentQK) else LaurentQK.rational(x)
+
+
 ZERO = LaurentQK.zero()
 ONE = LaurentQK.one()
 

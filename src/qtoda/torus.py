@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .scalars import LaurentQK
+from .scalars import LaurentQK, as_scalar
 
 ONE = LaurentQK.one()
 
@@ -48,6 +48,39 @@ def vneg(a):
     return tuple(-x for x in a)
 
 
+def cyclic_root(n, i):
+    """Simple root alpha_i = e_i - e_(i+1) with indices cyclic mod n
+    (i = n, equivalently 0, gives e_n - e_1)."""
+    i = ((i - 1) % n) + 1
+    v = [0] * n
+    v[i - 1] += 1
+    v[i % n] -= 1
+    return tuple(v)
+
+
+def root_form(m):
+    """The exponent vector sum_i m_i alpha_i of the cyclic simple roots:
+    entry j is m_j - m_(j-1), indices cyclic."""
+    return tuple(m[j] - m[j - 1] for j in range(len(m)))
+
+
+def add_terms(terms, pairs):
+    """Add (key, value) pairs into the dict ``terms`` in place, dropping
+    every key whose sum is zero; returns ``terms``."""
+    for key, value in pairs:
+        prev = terms.get(key)
+        if prev is None:
+            if not value.is_zero:
+                terms[key] = value
+        else:
+            value = prev + value
+            if value.is_zero:
+                del terms[key]
+            else:
+                terms[key] = value
+    return terms
+
+
 def com_quotient_canonicalize(mu):
     """Canonical representative of a shift modulo Z*(1,...,1): subtract the
     last entry, so canonical vectors end in 0."""
@@ -62,25 +95,14 @@ class TorusPoly:
 
     def __init__(self, n, terms=None, sl=False):
         self.n = n
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                exp = check_vector(exp, n)
-                if sl and sum(exp) != 0:
-                    raise TorusError("sl mode requires zero-sum exponents")
-                if not isinstance(c, LaurentQK):
-                    c = LaurentQK.rational(c)
-                if not c.is_zero:
-                    prev = clean.get(exp)
-                    if prev is None:
-                        clean[exp] = c
-                    else:
-                        s = prev + c
-                        if s.is_zero:
-                            del clean[exp]
-                        else:
-                            clean[exp] = s
-        self.terms = clean
+        self.terms = add_terms({}, self._checked(terms, sl)) if terms else {}
+
+    def _checked(self, terms, sl):
+        for exp, c in terms.items():
+            exp = check_vector(exp, self.n)
+            if sl and sum(exp) != 0:
+                raise TorusError("sl mode requires zero-sum exponents")
+            yield exp, as_scalar(c)
 
     # -- constructors --------------------------------------------------
 
@@ -100,6 +122,14 @@ class TorusPoly:
     def monomial(n, exp, coeff=ONE):
         return TorusPoly(n, {tuple(exp): coeff})
 
+    @staticmethod
+    def _wrap(n, terms):
+        """A polynomial on a dict that is already clean: checked exponent
+        keys and nonzero LaurentQK values; no copy, no checks."""
+        out = TorusPoly.__new__(TorusPoly)
+        out.n, out.terms = n, terms
+        return out
+
     # -- ring ops --------------------------------------------------------
 
     def _check(self, other):
@@ -109,55 +139,27 @@ class TorusPoly:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp)
-            s = c if s is None else s + c
-            if s.is_zero:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        out = TorusPoly.__new__(TorusPoly)
-        out.n, out.terms = self.n, terms
-        return out
+        return TorusPoly._wrap(
+            self.n, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        out = TorusPoly.__new__(TorusPoly)
-        out.n = self.n
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return TorusPoly._wrap(self.n,
+                               {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        if isinstance(other, LaurentQK) or isinstance(other, int):
-            s = other if isinstance(other, LaurentQK) \
-                else LaurentQK.rational(other)
-            out = TorusPoly.__new__(TorusPoly)
-            out.n = self.n
-            out.terms = {}
-            if not s.is_zero:
-                for e, c in self.terms.items():
-                    p = c * s
-                    if not p.is_zero:
-                        out.terms[e] = p
-            return out
+        if isinstance(other, (int, LaurentQK)):
+            s = as_scalar(other)
+            if s.is_zero:
+                return TorusPoly._wrap(self.n, {})
+            return self.map_coeffs(lambda c: c * s)
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = vadd(e1, e2)
-                p = c1 * c2
-                s = terms.get(e)
-                s = p if s is None else s + p
-                if s.is_zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        out = TorusPoly.__new__(TorusPoly)
-        out.n, out.terms = self.n, terms
-        return out
+        return TorusPoly._wrap(self.n, add_terms(
+            {}, ((vadd(e1, e2), c1 * c2)
+                 for e1, c1 in self.terms.items()
+                 for e2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
 
@@ -165,9 +167,7 @@ class TorusPoly:
         if isinstance(other, TorusPoly):
             return other
         if isinstance(other, (int, LaurentQK)):
-            s = other if isinstance(other, LaurentQK) \
-                else LaurentQK.rational(other)
-            return TorusPoly.constant(self.n, s)
+            return TorusPoly.constant(self.n, other)
         raise TypeError("cannot coerce %r" % (other,))
 
     def __eq__(self, other):
@@ -196,9 +196,7 @@ class TorusPoly:
         for e, c in self.terms.items():
             p = dot(e, mu)
             terms[e] = c * LaurentQK.q(p) if p else c
-        out = TorusPoly.__new__(TorusPoly)
-        out.n, out.terms = self.n, terms
-        return out
+        return TorusPoly._wrap(self.n, terms)
 
     def monomial_content(self):
         """Componentwise minimum of the exponent vectors (zero poly: origin)."""
@@ -210,10 +208,8 @@ class TorusPoly:
     def exp_shift(self, delta):
         """Multiply by the monomial e^(delta . z)."""
         delta = check_vector(delta, self.n)
-        out = TorusPoly.__new__(TorusPoly)
-        out.n = self.n
-        out.terms = {vadd(e, delta): c for e, c in self.terms.items()}
-        return out
+        return TorusPoly._wrap(
+            self.n, {vadd(e, delta): c for e, c in self.terms.items()})
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading monomial."""
@@ -224,14 +220,12 @@ class TorusPoly:
 
     def map_coeffs(self, fn):
         """Termwise scalar map; drops terms whose image vanishes."""
-        out = TorusPoly.__new__(TorusPoly)
-        out.n = self.n
-        out.terms = {}
+        terms = {}
         for e, c in self.terms.items():
             c2 = fn(c)
             if not c2.is_zero:
-                out.terms[e] = c2
-        return out
+                terms[e] = c2
+        return TorusPoly._wrap(self.n, terms)
 
     def is_sl(self):
         return all(sum(e) == 0 for e in self.terms)
@@ -357,7 +351,7 @@ class TorusRat:
         if isinstance(other, TorusPoly):
             return TorusRat(other)
         if isinstance(other, (int, LaurentQK)):
-            return TorusRat(TorusPoly.constant(self.n, _scalar(other)))
+            return TorusRat(TorusPoly.constant(self.n, other))
         raise TypeError("cannot coerce %r" % (other,))
 
     def __eq__(self, other):
@@ -403,10 +397,6 @@ class TorusRat:
     def from_json(n, data):
         return TorusRat(TorusPoly.from_json(n, data["num"]),
                         TorusPoly.from_json(n, data["den"]))
-
-
-def _scalar(x):
-    return x if isinstance(x, LaurentQK) else LaurentQK.rational(x)
 
 
 def _normalize(num, den):

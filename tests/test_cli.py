@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from qtoda.cli import canonical_json, main
-from qtoda.diffop import DiffOp
+from qtoda.diffop import DiffOp, DiffOpError
+from qtoda.torus import TorusError
 
 GOLDEN = osp.join(osp.dirname(osp.abspath(__file__)), "golden")
 
@@ -29,7 +30,7 @@ def test_build_matches_goldens(capsys, n):
     assert code == 0
     assert out == golden("first_operator_n%d_finite" % n)
     code, out, _ = run(capsys, "build", "--n", str(n), "--fund", "1",
-                       "--affine", "--k-symbolic")
+                       "--affine")
     assert code == 0
     assert out == golden("first_operator_n%d_affine" % n)
 
@@ -123,11 +124,49 @@ def test_verify_all(capsys):
     assert out.strip().endswith("overall: pass")
 
 
-def test_verify_all_threaded(capsys, monkeypatch):
-    monkeypatch.setenv("QTODA_THREADS", "4")
-    code, out, _ = run(capsys, "verify", "all", "--max-n", "2")
-    assert code == 0
-    assert out.strip().endswith("overall: pass")
+@pytest.mark.parametrize("value", ["1/0", "abc", ""])
+def test_build_bad_k_value_is_usage_error(capsys, value):
+    code, out, err = run(capsys, "build", "--n", "2", "--fund", "1",
+                         "--affine", "--k-value", value)
+    assert code == 2 and out == ""
+    assert "rational" in err
+
+
+@pytest.mark.parametrize("flag", [
+    ("--k-symbolic",), ("--orientation", "default"), ("--rho-conjugated",)])
+def test_build_rejects_removed_options(capsys, flag):
+    assert run(capsys, "build", "--n", "2", "--fund", "1", *flag)[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "commute", "--n", "1"),
+    ("verify", "commute", "--n", "1", "--affine"),
+    ("verify", "quasiclassical", "--n", "1"),
+    ("verify", "cm-limit", "--n", "1", "--elliptic"),
+    ("verify", "serre", "--n", "0"),
+    ("verify", "all", "--max-n", "1"),
+])
+def test_verify_below_rank_two_is_usage_error(capsys, argv):
+    # no check can run below N = 2; a report of "pass" would be vacuous
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "at least 2" in err
+
+
+@pytest.mark.parametrize("error", [DiffOpError, TorusError],
+                         ids=["DiffOpError", "TorusError"])
+def test_algebra_breach_exit_code(capsys, monkeypatch, error):
+    # a DiffOpError or TorusError escaping the pipeline is an internal
+    # breach (exit 3), not a usage error, although both are ValueErrors
+    from qtoda import cli as cli_mod
+
+    def boom(*a, **kw):
+        raise error("coefficient does not descend to the quotient")
+
+    monkeypatch.setattr(cli_mod, "build_toda_operator", boom)
+    code, _, err = run(capsys, "build", "--n", "2", "--fund", "1")
+    assert code == 3
+    assert "invariant" in err
 
 
 def test_cli_subprocess_determinism():

@@ -183,6 +183,16 @@ def test_cm_nonsimple_roots_decay_quadratically():
     assert not rec["survives"] and rec["net_degree"] == 2 - 2 * 3
 
 
+def test_cm_tail_certificate_failure_raises():
+    # at N = 2 with an empty window the first lattice translate beyond it
+    # has |rate| = 1 < 2, so the tail is not certified; this must raise
+    # even under python -O
+    with pytest.raises(LimitError):
+        cm_limit(2, elliptic=True, window=0)
+    op, _ = cm_limit(2, elliptic=True, window=1)
+    assert op == affine_classical_toda(2)
+
+
 def test_sinh_term_zero_rate_rejected():
     with pytest.raises(LimitError):
         SinhTerm((1, -1), 0, 0, {2: Fraction(1, 4)})

@@ -1,12 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from qtoda.scalars import LaurentQK
 from qtoda.qrep import (
     DynkinData, Orientation, QRepError, build_orientation, fundamental_rep,
-    qp_normal_order, rho_pairing2, rmatrix_simple_factor,
-    verify_serre_homomorphism, weyl_vector,
+    qp_normal_order, rho_pairing2, verify_serre_homomorphism, weyl_vector,
 )
 
 Q = LaurentQK.q
@@ -136,25 +136,21 @@ def test_rep_defining_relations(n, k, affine):
                 assert path1 == path2
 
 
+def test_rho_pairing2_rejects_non_integer_entries():
+    # 2 rho . (1/2, 0) = 1/2 is not an integer; the check must be a real
+    # exception, not an assert that vanishes under python -O
+    with pytest.raises(QRepError):
+        rho_pairing2(2, (Fraction(1, 2), 0))
+    with pytest.raises(QRepError):
+        rho_pairing2(3, (Fraction(1, 2), 0, Fraction(-1, 2)))
+
+
 def test_rho_diagonal_for_vector_rep():
     # diagonal exponents for the vector representation are N+1-2j
     for n in (2, 3, 4, 5):
         rep = fundamental_rep(n, 1)
         assert [rep.weight_q2(frozenset({j})) for j in range(1, n + 1)] \
             == [n + 1 - 2 * j for j in range(1, n + 1)]
-
-
-def test_rmatrix_simple_factor():
-    rep = fundamental_rep(2, 1)
-    fac = rmatrix_simple_factor(rep, 1)
-    assert fac["coefficient"] == Q(1) - Q(-1)
-    assert fac["action"] == {frozenset({1}): frozenset({2})}
-    assert fac["letter"] == ("e", 1)
-    flipped = rmatrix_simple_factor(rep, 1, transposed=True)
-    assert flipped["action"] == {frozenset({2}): frozenset({1})}
-    rep_affine = fundamental_rep(3, 1, affine=True)
-    assert rmatrix_simple_factor(rep_affine, 0)["z_degree"] == -1
-    assert rmatrix_simple_factor(rep_affine, 0, transposed=True)["z_degree"] == 1
 
 
 def test_action_dump_deterministic():

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from qtoda.scalars import LaurentQK
 from qtoda.torus import (
-    TorusError, TorusPoly, TorusRat, com_quotient_canonicalize,
+    TorusError, TorusPoly, TorusRat, add_terms, com_quotient_canonicalize,
+    cyclic_root, root_form,
 )
 
 Q = LaurentQK.q
@@ -135,3 +136,28 @@ def test_json_round_trip():
     r = TorusRat(p, mono((1, 0, -1)) - 2)
     back = TorusRat.from_json(3, r.to_json())
     assert back == r
+
+
+def test_add_terms_drops_cancelled_keys():
+    one, two = LaurentQK.rational(1), LaurentQK.rational(2)
+    terms = {"a": one}
+    out = add_terms(terms, [("a", -one), ("b", two), ("c", LaurentQK.zero()),
+                            ("b", one)])
+    assert out is terms
+    assert terms == {"b": LaurentQK.rational(3)}
+
+
+def test_cyclic_roots():
+    assert cyclic_root(3, 1) == (1, -1, 0)
+    assert cyclic_root(3, 3) == cyclic_root(3, 0) == (-1, 0, 1)
+    assert cyclic_root(2, 2) == (-1, 1)
+
+
+@given(st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.tuples(*[st.integers(min_value=-3, max_value=3)] * n)))
+def test_root_form_sums_cyclic_roots(m):
+    n = len(m)
+    want = [0] * n
+    for i, mi in enumerate(m, start=1):
+        want = [a + mi * b for a, b in zip(want, cyclic_root(n, i))]
+    assert root_form(m) == tuple(want)
