@@ -152,9 +152,13 @@ class TorusPoly:
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQK)):
             s = as_scalar(other)
-            if s.is_zero:
-                return TorusPoly._wrap(self.n, {})
-            return self.map_coeffs(lambda c: c * s)
+            terms = {}
+            if not s.is_zero:
+                for e, c in self.terms.items():
+                    p = c * s
+                    if not p.is_zero:
+                        terms[e] = p
+            return TorusPoly._wrap(self.n, terms)
         self._check(other)
         return TorusPoly._wrap(self.n, add_terms(
             {}, ((vadd(e1, e2), c1 * c2)
