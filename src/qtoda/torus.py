@@ -108,11 +108,11 @@ class TorusPoly:
 
     @staticmethod
     def zero(n):
-        return TorusPoly(n, {})
+        return TorusPoly._wrap(n, {})
 
     @staticmethod
     def one(n):
-        return TorusPoly(n, {(0,) * n: ONE})
+        return TorusPoly._wrap(n, {(0,) * n: ONE})
 
     @staticmethod
     def constant(n, scalar):
