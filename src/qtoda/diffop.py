@@ -323,7 +323,7 @@ class RootLiftOp:
             s = as_scalar(other)
             return RootLiftOp(self.n,
                               {k: c * s for k, c in self.terms.items()})
-        # T_mu1 E^m2 = q^(lam2 . mu1) E^m2 T_mu1
+        # T_mu1 E^m2 = q^(lam2 . mu1) E^m2 T_mu1 with lam2 = root_form(m2)
         return RootLiftOp(self.n, add_terms({}, (
             ((vadd(m1, m2), vadd(mu1, mu2)),
              c1 * c2 * LaurentQK.q(dot(root_form(m2), mu1)))
