@@ -1,5 +1,8 @@
+import os.path as osp
+
 import pytest
 
+from qtoda.cli import canonical_json
 from qtoda.scalars import LaurentQK
 from qtoda.torus import TorusPoly, TorusRat
 from qtoda.diffop import DiffOp, GL, SL_QUOTIENT, sect6_automorphism
@@ -14,6 +17,9 @@ from qtoda.degenerations import (
 
 Q = LaurentQK.q
 C2 = (Q(1) - Q(-1)) ** 2
+
+GOLDEN_REL = osp.join(osp.dirname(osp.abspath(__file__)), "golden",
+                      "relativistic")
 
 
 def drop_tk(scalar):
@@ -157,6 +163,29 @@ def test_relativistic_gauge_check(n, periodic):
     fixed = rescale_g(report["operator"], -report["offset"])
     assert fixed == relativistic_resolved_form(n, periodic, 0,
                                                report["direction"])
+
+
+def gauge_record(n, periodic):
+    """The gauge-check report as canonical JSON; the resolved operator
+    carries the g^2 slot, so it is pinned by its text form."""
+    report = relativistic_gauge_check(n, periodic)
+    record = {k: v for k, v in report.items() if k != "operator"}
+    record["outcomes"] = {str(d): o for d, o in report["outcomes"].items()}
+    if "operator" in report:
+        record["operator"] = report["operator"].text()
+    return canonical_json(record)
+
+
+@pytest.mark.parametrize("periodic", [True, False],
+                         ids=["periodic", "nonperiodic"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_relativistic_gauge_goldens(n, periodic):
+    # outcomes with their error strings, direction, offset and operator
+    name = "gauge_n%d_%s.json" % (n, "periodic" if periodic
+                                  else "nonperiodic")
+    with open(osp.join(GOLDEN_REL, name)) as fh:
+        want = fh.read()
+    assert gauge_record(n, periodic) == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -317,6 +317,14 @@ def test_conjugation_identity_and_square_root_matching():
     expected = TorusRat(
         TorusPoly.one(n) + TorusPoly.monomial(n, (1, -1), LaurentQK.g2()))
     assert conj2 == DiffOp(n, {(2, 0): expected})
+    # a negative step divides by the symbol one step below the argument
+    with pytest.raises(UnresolvedFactorError):
+        conjugate_by_factor_product(DiffOp.shift(n, (-2, 0)), prod, 1)
+    down = (n, GL, {(-2, 0): FactorCoeff.fsym(n, (1, -1), -2, 1)})
+    conj_down = conjugate_by_factor_product(down, prod, 1)
+    below = TorusRat(TorusPoly.one(n)
+                     + TorusPoly.monomial(n, (1, -1), LaurentQK.g2() * Q(-2)))
+    assert conj_down == DiffOp(n, {(-2, 0): below})
 
 
 def test_conjugation_error_cases():
