@@ -22,10 +22,11 @@ from __future__ import annotations
 from .scalars import LaurentQK
 from .torus import (
     TorusPoly, TorusRat, add_terms, com_quotient_canonicalize, cyclic_root,
+    dot,
 )
 from .diffop import (
-    GL, SL_QUOTIENT, DiffOp, FactorCoeff, FactorRule, FormalFactorProduct,
-    UnresolvedFactorError, conjugate_by_factor_product,
+    GL, SL_QUOTIENT, DiffOp, UnresolvedFactorError,
+    conjugate_by_factor_product,
 )
 
 Q = LaurentQK.q
@@ -127,7 +128,7 @@ def _substitute_drift(n, rat, extra_degree):
             # the t power of each scalar term joins the u degree
             add_terms(out, (
                 (key[3] + wdeg, TorusPoly.monomial(
-                    n, lam, LaurentQK({key[:3] + (0, key[4]): frac})))
+                    n, lam, LaurentQK({key[:3] + (0,): frac})))
                 for key, frac in c.terms.items()))
         return out
 
@@ -260,16 +261,11 @@ def substitute_g2(op, value):
         out = LaurentQK.zero()
         for key, frac in c.terms.items():
             e = key[2]
-            stripped = LaurentQK({(key[0], key[1], 0, key[3], key[4]): frac})
+            stripped = LaurentQK({(key[0], key[1], 0, key[3]): frac})
             out = out + stripped * value ** e
         return out
 
     return op.scalar_map(sub)
-
-
-def embed_kroot(op, root_degree):
-    """Rewrite K powers through the fractional slot kr = K^(1/root_degree)."""
-    return op.scalar_map(lambda c: c.embed_kroot(root_degree))
 
 
 def relativistic_catalog(n):
@@ -295,14 +291,6 @@ def relativistic_catalog(n):
 # The square-root relativistic Hamiltonian and its gauge conjugation
 # ---------------------------------------------------------------------------
 
-def _psi_rule(n):
-    """psi(x + 2 hbar) = psi(x) f(x)^(-1), f the square-root symbol with
-    f(x)^2 = 1 + g^2 e^x."""
-    def multiplier(form, offset):
-        return FactorCoeff.fsym(n, form, offset, -1)
-    return FactorRule("psi", 2, multiplier)
-
-
 def relativistic_hamiltonian(n, periodic, tau_direction):
     """The nearest-neighbour square-root Hamiltonian
     sum_i f(z_(i-1) - z_i) T f(z_i - z_(i+1)) in factor-symbol form, with
@@ -310,7 +298,9 @@ def relativistic_hamiltonian(n, periodic, tau_direction):
     are dropped in the nonperiodic case.
 
     Returns the (n, mode, coefficients) triple consumed by the gauge
-    conjugation, with the right factor already moved through the shift.
+    conjugation: each coefficient maps (form, offset) to the exponent of
+    f(form . z + offset*hbar), with the right factor already moved through
+    the shift.
     """
     if tau_direction not in (1, -1):
         raise DegenerationError("shift direction must be +1 or -1")
@@ -318,12 +308,12 @@ def relativistic_hamiltonian(n, periodic, tau_direction):
     for i in range(1, n + 1):
         mu = [0] * n
         mu[i - 1] = 2 * tau_direction
-        coeff = FactorCoeff.one(n)
+        coeff = {}
         if periodic or i > 1:
-            coeff = coeff * FactorCoeff.fsym(n, cyclic_root(n, i - 1), 0, 1)
+            coeff[cyclic_root(n, i - 1), 0] = 1
         if periodic or i < n:
-            right = FactorCoeff.fsym(n, cyclic_root(n, i), 0, 1)
-            coeff = coeff * right.shift_substitute(tuple(mu))
+            right = cyclic_root(n, i), dot(cyclic_root(n, i), mu)
+            coeff[right] = coeff.get(right, 0) + 1
         key = tuple(mu)
         if key in coeffs:
             raise DegenerationError("shift collision at %s" % (key,))
@@ -342,15 +332,13 @@ def relativistic_gauge_check(n, periodic=True):
     direction, the offset c, and failure diagnostics for the other
     direction.
     """
-    rule = _psi_rule(n)
     top = n if periodic else n - 1
-    product = FormalFactorProduct(
-        n, [(rule, cyclic_root(n, i)) for i in range(1, top + 1)])
+    forms = [cyclic_root(n, i) for i in range(1, top + 1)]
     outcomes = {}
     for direction in (1, -1):
         ham = relativistic_hamiltonian(n, periodic, direction)
         try:
-            resolved = _conjugate(ham, product)
+            resolved = conjugate_by_factor_product(ham, forms)
         except UnresolvedFactorError as exc:
             outcomes[direction] = {"ok": False, "error": str(exc)}
             continue
@@ -374,10 +362,6 @@ def relativistic_gauge_check(n, periodic=True):
         report["offset"] = outcomes[d]["offset"]
         report["operator"] = outcomes[d]["operator"]
     return report
-
-
-def _conjugate(ham, product):
-    return conjugate_by_factor_product(ham, product, 1)
 
 
 def _uniform_offset(op, n, periodic, direction):
@@ -407,8 +391,7 @@ def _uniform_offset(op, n, periodic, direction):
         if len(c.terms) != 1:
             return None
         (key2, frac), = c.terms.items()
-        if frac != 1 or key2[2] != 1 or key2[1] or key2[3] or key2[4] \
-                or key2[0] % 2:
+        if frac != 1 or key2[2] != 1 or key2[1] or key2[3] or key2[0] % 2:
             return None
         offsets.add(key2[0] // 2)
     return offsets.pop() if len(offsets) == 1 else None
@@ -430,17 +413,26 @@ def rescale_g(op, delta):
 
 
 def periodic_matching_exponent(n):
-    """Find the kr exponent t such that substituting g^2 = -(q-q^(-1))^2
-    kr^t (kr = K^(1/N)) into the resolved relativistic form, combined with
-    the variable shift z_i -> z_i - (i/N) ln K, reproduces the simplified
-    affine form exactly.  Returns (t, checked exponents)."""
-    target = embed_kroot(toda_simplified_form(n, affine=True), n)
-    target = rescale_root_exponentials(target, LaurentQK.kroot(1))
+    """Find the exponent t such that substituting g^2 = -(q-q^(-1))^2
+    K^(t/N) into the resolved relativistic form, combined with the
+    variable shift z_i -> z_i - (i/N) ln K, reproduces the simplified
+    affine form exactly.  Returns (t, checked exponents).
+
+    Every scalar of the comparison lies in K^(1/N) alone, so the K slot
+    counts powers of K^(1/N) here: the target's K^b is written K^(bN).
+    """
+
+    def k_to_root(c):
+        return LaurentQK({(key[0], key[1] * n) + key[2:]: frac
+                          for key, frac in c.terms.items()})
+
+    target = toda_simplified_form(n, affine=True).scalar_map(k_to_root)
+    target = rescale_root_exponentials(target, LaurentQK.k(1))
     tried = {}
     found = None
     for t in (1, 2):
         cand = substitute_g2(relativistic_resolved_form(n, True),
-                             -_c2() * LaurentQK.kroot(t))
+                             -_c2() * LaurentQK.k(t))
         ok = cand == target
         tried[t] = ok
         if ok and found is None:

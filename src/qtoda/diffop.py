@@ -13,8 +13,9 @@ then canonicalized modulo (1,...,1)).
 The module also houses two transformations used by the verification
 suites: the generator automorphism T_i -> T_i,
 e^(z_i - z_(i+1)) -> e^(z_i - z_(i+1)) T_i T_(i+1)^(-1) on a
-winding-tracked coefficient lattice, and gauge conjugation by formal
-factor products ruled by one-step difference equations.
+winding-tracked coefficient lattice, and gauge conjugation by a product
+of factors psi with psi(x + 2 hbar) = psi(x) f(x)^(-1), f a square-root
+symbol.
 """
 
 from __future__ import annotations
@@ -418,162 +419,62 @@ def sect6_automorphism(op):
 
 
 # ---------------------------------------------------------------------------
-# Formal factor products and gauge conjugation
+# Gauge conjugation by a product of square-root factors
 # ---------------------------------------------------------------------------
+#
+# Each factor psi(form . z) obeys psi(x + 2 hbar) = psi(x) f(x)^(-1), with
+# the square-root symbol f(x)^2 = 1 + g^2 e^x.  A coefficient is a dict
+# (form, offset) -> e standing for the product of the symbols
+# f(form . z + offset*hbar)^e; f(form . z + offset*hbar)^2 resolves to
+# 1 + g^2 q^offset e^(form . z).
 
-class FactorRule:
-    """A one-step difference equation psi(x + step*hbar) = psi(x) * u(x)
-    for an invertible gauge symbol psi.
+def conjugate_by_factor_product(ham, forms):
+    """Exact gauge conjugation P^(-1) A P by P = prod psi(form . z).
 
-    The multiplier u is a FactorCoeff-valued function of the argument;
-    ``multiplier(form, offset)`` must return u evaluated at
-    form . z + offset*hbar.
+    ``ham`` is an (n, mode, coefficients) triple, each coefficient a dict
+    of square-root symbol exponents.  Moving P through T_mu moves the
+    argument of psi(form . z) by t = (form . mu)/2 steps, which contributes
+    f^(-1) at offsets 0, 2, ..., 2(t-1) for t > 0 and f at offsets
+    2t, ..., -2 for t < 0.  The result is a resolved DiffOp; it is an
+    error if any symbol is left with an odd exponent.
     """
-
-    __slots__ = ("name", "step", "multiplier")
-
-    def __init__(self, name, step, multiplier):
-        if step == 0:
-            raise DiffOpError("factor rule step must be nonzero")
-        self.name = name
-        self.step = step
-        self.multiplier = multiplier
-
-    def shift_ratio(self, n, form, mu):
-        """The exact ratio psi(arg + (form.mu)*hbar) / psi(arg) for
-        arg = form . z, as a FactorCoeff.  The move must be an integer
-        multiple of the step."""
-        move = dot(form, mu)
-        if move % self.step:
-            raise DiffOpError(
-                "shift %s moves argument of %s by %d, not a multiple of "
-                "step %d" % (mu, self.name, move, self.step))
-        t = move // self.step
-        out = FactorCoeff.one(n)
-        if t > 0:
-            for s in range(t):
-                out = out * self.multiplier(form, s * self.step)
-        else:
-            for s in range(1, -t + 1):
-                out = out * self.multiplier(form, -s * self.step).inverse()
-        return out
-
-
-class FactorCoeff:
-    """A torus-rational coefficient times a formal product of square-root
-    factor symbols f(form . z + offset*hbar)^e with f^2 = 1 + g^2 q^offset
-    e^(form . z).  Resolves to a TorusRat once every f exponent is even."""
-
-    __slots__ = ("base", "fsyms")
-
-    def __init__(self, base, fsyms=None):
-        self.base = base
-        clean = {}
-        if fsyms:
-            for key, e in fsyms.items():
-                if e:
-                    clean[key] = clean.get(key, 0) + e
-                    if not clean[key]:
-                        del clean[key]
-        self.fsyms = clean
-
-    @staticmethod
-    def one(n):
-        return FactorCoeff(TorusRat.one(n))
-
-    @staticmethod
-    def fsym(n, form, offset=0, power=1):
-        return FactorCoeff(TorusRat.one(n), {(tuple(form), offset): power})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentQK, TorusRat)):
-            return FactorCoeff(self.base * other, self.fsyms)
-        fs = dict(self.fsyms)
-        for key, e in other.fsyms.items():
-            fs[key] = fs.get(key, 0) + e
-            if not fs[key]:
-                del fs[key]
-        return FactorCoeff(self.base * other.base, fs)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return FactorCoeff(self.base.inverse(),
-                           {k: -e for k, e in self.fsyms.items()})
-
-    def shift_substitute(self, mu):
-        """sigma_mu moves each symbol's offset by form . mu."""
-        fs = {}
-        for (form, off), e in self.fsyms.items():
-            key = (form, off + dot(form, mu))
-            fs[key] = fs.get(key, 0) + e
-        return FactorCoeff(self.base.shift_substitute(mu), fs)
-
-    def resolve(self):
-        """Substitute f(...)^2 = 1 + g^2 q^offset e^(form.z); error if any
-        symbol is left with an odd exponent."""
-        out = self.base
-        n = self.base.n
-        for (form, off), e in sorted(self.fsyms.items()):
-            if e % 2:
-                raise UnresolvedFactorError(
-                    "unmatched factor symbol f(%s . z %+d hbar)^%d"
-                    % (list(form), off, e))
-            sq = TorusRat(
-                TorusPoly.one(n)
-                + TorusPoly.monomial(
-                    n, form, LaurentQK.g2(1) * LaurentQK.q_half(2 * off)))
-            half = e // 2
-            if half > 0:
-                for _ in range(half):
-                    out = out * sq
-            else:
-                inv = sq.inverse()
-                for _ in range(-half):
-                    out = out * inv
-        return out
-
-
-class FormalFactorProduct:
-    """An ordered product of instantiated gauge factors psi(form . z)."""
-
-    __slots__ = ("n", "factors")
-
-    def __init__(self, n, factors):
-        self.n = n
-        self.factors = []
-        for rule, form in factors:
-            form = check_vector(form, n)
-            self.factors.append((rule, form))
-
-    def shift_ratio(self, mu):
-        out = FactorCoeff.one(self.n)
-        for rule, form in self.factors:
-            out = out * rule.shift_ratio(self.n, form, mu)
-        return out
-
-
-def conjugate_by_factor_product(op, product, direction=1):
-    """Exact gauge conjugation: direction +1 gives product^(-1) A product,
-    direction -1 gives product A product^(-1).
-
-    Coefficients may be FactorCoeff-valued (a dict shift -> FactorCoeff)
-    or a plain DiffOp; the result is a resolved DiffOp and it is an error
-    if any factor symbol survives.
-    """
-    if isinstance(op, DiffOp):
-        coeffs = {mu: FactorCoeff(f) for mu, f in op.terms.items()}
-        n, mode = op.n, op.mode
-    else:
-        n, mode, coeffs = op
-    if direction not in (1, -1):
-        raise DiffOpError("direction must be +1 or -1")
+    n, mode, coeffs = ham
+    forms = [check_vector(form, n) for form in forms]
     out_terms = {}
-    for mu, coeff in coeffs.items():
-        ratio = product.shift_ratio(mu)
-        if direction == -1:
-            ratio = ratio.inverse()
-        resolved = (coeff * ratio).resolve()
+    for mu, syms in coeffs.items():
+        syms = dict(syms)
+        for form in forms:
+            move = dot(form, mu)
+            if move % 2:
+                raise DiffOpError(
+                    "shift %s moves argument of psi by %d, not a multiple "
+                    "of step 2" % (mu, move))
+            e = -1 if move > 0 else 1
+            for off in range(min(move, 0), max(move, 0), 2):
+                syms[form, off] = syms.get((form, off), 0) + e
+        resolved = _resolve_symbols(n, syms)
         if not resolved.is_zero:
             out_terms[mu] = resolved
     return DiffOp(n, out_terms, mode)
+
+
+def _resolve_symbols(n, syms):
+    """Substitute f(...)^2 = 1 + g^2 q^offset e^(form.z) in sorted symbol
+    order; error if any symbol is left with an odd exponent."""
+    out = TorusRat.one(n)
+    for (form, off), e in sorted(syms.items()):
+        if not e:
+            continue
+        if e % 2:
+            raise UnresolvedFactorError(
+                "unmatched factor symbol f(%s . z %+d hbar)^%d"
+                % (list(form), off, e))
+        sq = TorusRat(
+            TorusPoly.one(n)
+            + TorusPoly.monomial(
+                n, form, LaurentQK.g2(1) * LaurentQK.q_half(2 * off)))
+        if e < 0:
+            sq = sq.inverse()
+        for _ in range(abs(e) // 2):
+            out = out * sq
+    return out

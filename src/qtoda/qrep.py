@@ -119,9 +119,6 @@ class Orientation:
         tail, head = self.edges[frozenset((i, j))]
         return 1 if (tail, head) == (i, j) else -1
 
-    def position(self, node):
-        return self._pos[node]
-
     def with_order(self, order):
         """Same orientation under a different total-order extension."""
         return Orientation(self.dynkin, list(self.edges.values()), order)

@@ -2,7 +2,7 @@
 
 The scalar ring of the whole package.  A scalar is a finite sum of terms
 
-    c * q^(a/2) * K^b * (g^2)^e * (q^(2k))^f * (K^(1/N))^r
+    c * q^(a/2) * K^b * (g^2)^e * (q^(2k))^f
 
 with rational c.  A coefficient is an ``int`` when integral (every
 constructor ensures this) and a ``fractions.Fraction`` otherwise, so the
@@ -11,7 +11,7 @@ arithmetic.  Sums and products of ``Fraction`` coefficients may leave an
 integral ``Fraction``; it compares, hashes and serialises exactly like
 the ``int``.  The q exponent is stored doubled so that half-integer
 powers (which arise from conjugation by the Weyl-vector monomial) stay in
-integer arithmetic.  The auxiliary slots g2, tk and kr are only populated
+integer arithmetic.  The auxiliary slots g2 and tk are only populated
 inside the relativistic and Macdonald checks; core outputs keep them zero.
 
 All values are immutable after construction and safe to share.
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-#: exponent slots per term: doubled q exponent, K, g^2, q^(2k), K-root
-SLOTS = ("q2", "K", "g2", "tk", "kr")
+#: exponent slots per term: doubled q exponent, K, g^2, q^(2k)
+SLOTS = ("q2", "K", "g2", "tk")
 _NS = len(SLOTS)
 _ZKEY = (0,) * _NS
 
@@ -82,8 +82,8 @@ class LaurentQK:
         return LaurentQK({_ZKEY: _as_fraction(x)})
 
     @staticmethod
-    def monomial(coeff=1, q2=0, k=0, g2=0, tk=0, kr=0):
-        return LaurentQK({(q2, k, g2, tk, kr): _as_fraction(coeff)})
+    def monomial(coeff=1, q2=0, k=0, g2=0, tk=0):
+        return LaurentQK({(q2, k, g2, tk): _as_fraction(coeff)})
 
     @staticmethod
     def q(n=1):
@@ -106,10 +106,6 @@ class LaurentQK:
     @staticmethod
     def tk(n=1):
         return LaurentQK.monomial(1, tk=n)
-
-    @staticmethod
-    def kroot(n=1):
-        return LaurentQK.monomial(1, kr=n)
 
     # -- ring structure ------------------------------------------------
 
@@ -151,7 +147,7 @@ class LaurentQK:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2],
-                       k1[3] + k2[3], k1[4] + k2[4])
+                       k1[3] + k2[3])
                 s = terms.get(key, 0) + c1 * c2
                 if s:
                     terms[key] = s
@@ -236,10 +232,7 @@ class LaurentQK:
 
     def core_only(self):
         """True if only the q and K slots are populated."""
-        return all(k[2] == k[3] == k[4] == 0 for k in self.terms)
-
-    def k_degrees(self):
-        return {k[1] for k in self.terms}
+        return all(k[2] == k[3] == 0 for k in self.terms)
 
     def substitute_k(self, value):
         """Evaluate K at an exact rational value (K -> value)."""
@@ -263,19 +256,6 @@ class LaurentQK:
                 terms.pop(nk, None)
         return LaurentQK(terms)
 
-    def embed_kroot(self, n):
-        """Rewrite K as the n-th power of the K-root slot (K = kr^n).
-
-        Only used by the periodic relativistic matching, where fractional
-        K powers are needed for a single comparison.
-        """
-        terms = {}
-        for key, c in self.terms.items():
-            if key[4] != 0:
-                raise ValueError("kr slot already in use")
-            terms[(key[0], 0, key[2], key[3], key[1] * n)] = c
-        return LaurentQK(terms)
-
     # -- rendering -------------------------------------------------------
 
     def __repr__(self):
@@ -289,7 +269,7 @@ class LaurentQK:
         for key in sorted(self.terms, reverse=True):
             c = self.terms[key]
             factors = []
-            q2, kk, g2, tk, kr = key
+            q2, kk, g2, tk = key
             if q2:
                 factors.append("q^%s" % _half_str(q2))
             if kk:
@@ -298,8 +278,6 @@ class LaurentQK:
                 factors.append("g2^%d" % g2)
             if tk:
                 factors.append("tk^%d" % tk)
-            if kr:
-                factors.append("kr^%d" % kr)
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -324,7 +302,7 @@ class LaurentQK:
     def from_json(data):
         terms = {}
         for q2, kk, num, den in data:
-            terms[(q2, kk, 0, 0, 0)] = Fraction(num, den)
+            terms[(q2, kk, 0, 0)] = Fraction(num, den)
         return LaurentQK(terms)
 
 
@@ -370,7 +348,7 @@ def q_integer(a, d=1):
     m = abs(a)
     terms = {}
     for j in range(m):
-        terms[(2 * d * (m - 1 - 2 * j), 0, 0, 0, 0)] = sign
+        terms[(2 * d * (m - 1 - 2 * j), 0, 0, 0)] = sign
     return LaurentQK(terms)
 
 
@@ -515,7 +493,7 @@ class HbarJet:
 
 def _check_qfree(c):
     for key in c.terms:
-        if key[0] != 0 or key[2] or key[3] or key[4]:
+        if key[0] != 0 or key[2] or key[3]:
             raise ValueError("jet coefficients must be K-Laurent only")
 
 
@@ -527,7 +505,7 @@ def jet_expand(s, order):
     if not s.core_only():
         raise ValueError("jet_expand needs a core (q, K) scalar")
     coeffs = [LaurentQK.zero() for _ in range(order + 1)]
-    for (q2, kk, _, _, _), c in s.terms.items():
+    for (q2, kk, _, _), c in s.terms.items():
         a = Fraction(q2, 2)
         power = Fraction(1)
         fact = 1

@@ -26,7 +26,7 @@ def drop_tk(scalar):
     """Evaluate the symmetric-function parameter t at 1."""
     out = LaurentQK.zero()
     for key, frac in scalar.terms.items():
-        out = out + LaurentQK({(key[0], key[1], key[2], 0, key[4]): frac})
+        out = out + LaurentQK({key[:3] + (0,): frac})
     return out
 
 

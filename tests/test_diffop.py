@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from qtoda.scalars import LaurentQK
 from qtoda.torus import TorusPoly, TorusRat, com_quotient_canonicalize, vadd
 from qtoda.diffop import (
-    GL, SL_QUOTIENT, DiffOp, DiffOpError, FactorCoeff, FactorRule,
-    FormalFactorProduct, RootLiftOp, UnresolvedFactorError,
+    GL, SL_QUOTIENT, DiffOp, DiffOpError, RootLiftOp, UnresolvedFactorError,
     conjugate_by_factor_product, cyclic_root, sect6_automorphism,
 )
 from qtoda.engine import toda_family
@@ -288,84 +287,54 @@ def test_automorphism_on_diffop_single_root():
         sect6_automorphism(bad)
 
 
-# -- factor-product conjugation ----------------------------------------------
+# -- square-root gauge conjugation -------------------------------------------
 
-def psi_rule(n):
-    """psi(x + 2hbar) = psi(x) * f(x)^(-1) with f the square-root symbol."""
-    def multiplier(form, offset):
-        return FactorCoeff.fsym(n, form, offset, -1)
-    return FactorRule("psi", 2, multiplier)
+PSI_FORMS = [(1, -1)]
+
+
+def conjugate(n, coeffs):
+    return conjugate_by_factor_product((n, GL, coeffs), PSI_FORMS)
 
 
 def test_conjugation_identity_and_square_root_matching():
     n = 2
-    rule = psi_rule(n)
-    prod = FormalFactorProduct(n, [(rule, (1, -1))])
-    ident = DiffOp.identity(n)
-    assert conjugate_by_factor_product(ident, prod, 1) == ident
+    assert conjugate(n, {(0, 0): {}}) == DiffOp.identity(n)
     # a bare shift picks up a single square-root symbol: not resolvable
-    t = DiffOp.shift(n, (2, 0))
     with pytest.raises(UnresolvedFactorError):
-        conjugate_by_factor_product(t, prod, 1)
+        conjugate(n, {(2, 0): {}})
     # a matching f in the operand coefficient cancels the ratio exactly
-    dressed = (n, GL, {(2, 0): FactorCoeff.fsym(n, (1, -1), 0, 1)})
-    conj = conjugate_by_factor_product(dressed, prod, 1)
+    conj = conjugate(n, {(2, 0): {((1, -1), 0): 1}})
     assert conj == DiffOp(n, {(2, 0): TorusRat.one(n)})
     # squared symbols resolve to the 1 + g^2 e^a polynomial
-    dressed2 = (n, GL, {(2, 0): FactorCoeff.fsym(n, (1, -1), 0, 3)})
-    conj2 = conjugate_by_factor_product(dressed2, prod, 1)
+    conj2 = conjugate(n, {(2, 0): {((1, -1), 0): 3}})
     expected = TorusRat(
         TorusPoly.one(n) + TorusPoly.monomial(n, (1, -1), LaurentQK.g2()))
     assert conj2 == DiffOp(n, {(2, 0): expected})
     # a negative step divides by the symbol one step below the argument
     with pytest.raises(UnresolvedFactorError):
-        conjugate_by_factor_product(DiffOp.shift(n, (-2, 0)), prod, 1)
-    down = (n, GL, {(-2, 0): FactorCoeff.fsym(n, (1, -1), -2, 1)})
-    conj_down = conjugate_by_factor_product(down, prod, 1)
+        conjugate(n, {(-2, 0): {}})
+    conj_down = conjugate(n, {(-2, 0): {((1, -1), -2): 1}})
     below = TorusRat(TorusPoly.one(n)
                      + TorusPoly.monomial(n, (1, -1), LaurentQK.g2() * Q(-2)))
     assert conj_down == DiffOp(n, {(-2, 0): below})
 
 
+def test_conjugation_multi_step_offsets():
+    # a move by t steps touches offsets 0, 2, ..., 2(t-1) for t > 0 and
+    # 2t, ..., -2 for t < 0, one symbol each
+    n = 2
+    up = {((1, -1), 0): 1, ((1, -1), 2): 1}
+    assert conjugate(n, {(4, 0): up}) == DiffOp.shift(n, (4, 0))
+    down = {((1, -1), -4): -1, ((1, -1), -2): -1}
+    assert conjugate(n, {(-4, 0): down}) == DiffOp.shift(n, (-4, 0))
+    with pytest.raises(UnresolvedFactorError):
+        conjugate(n, {(4, 0): {((1, -1), 0): 1}})
+
+
 def test_conjugation_error_cases():
     n = 2
-    rule = psi_rule(n)
-    prod = FormalFactorProduct(n, [(rule, (1, -1))])
-    odd = DiffOp.shift(n, (1, 0))
     with pytest.raises(DiffOpError):
-        conjugate_by_factor_product(odd, prod, 1)
+        conjugate(n, {(1, 0): {}})
     # a single unmatched square root cannot be resolved
-    bad = FactorCoeff.fsym(n, (1, -1), 0, 1)
     with pytest.raises(UnresolvedFactorError):
-        bad.resolve()
-
-
-def test_rational_rule_single_application():
-    # rule psi(x + c hbar) = psi(x) u(x) with torus-rational u: conjugating
-    # a bare shift by one step multiplies by u at the base argument
-    n = 2
-    u_coeff = TorusRat(TorusPoly.one(n)
-                       + TorusPoly.monomial(n, (1, -1), LaurentQK.rational(2)))
-
-    def multiplier(form, offset):
-        val = TorusRat(
-            TorusPoly.one(n)
-            + TorusPoly.monomial(n, form,
-                                 LaurentQK.q_half(2 * offset) * 2))
-        return FactorCoeff(val)
-
-    rule = FactorRule("phi", 2, multiplier)
-    prod = FormalFactorProduct(n, [(rule, (1, -1))])
-    t = DiffOp.shift(n, (2, 0))
-    conj = conjugate_by_factor_product(t, prod, 1)
-    assert conj == DiffOp(n, {(2, 0): u_coeff})
-    down = DiffOp.shift(n, (-2, 0))
-    conj_down = conjugate_by_factor_product(down, prod, 1)
-    # argument moves by -2hbar: multiplier inverse evaluated one step down
-    shifted = TorusRat(
-        TorusPoly.one(n)
-        + TorusPoly.monomial(n, (1, -1), LaurentQK.q(-2) * 2))
-    assert conj_down == DiffOp(n, {(-2, 0): shifted.inverse()})
-    # conjugating back in the opposite direction restores the operator
-    assert conjugate_by_factor_product(conj, prod, -1) == t
-    assert conjugate_by_factor_product(conj_down, prod, -1) == down
+        conjugate(n, {(0, 0): {((1, -1), 0): 1}})
