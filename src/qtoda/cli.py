@@ -113,12 +113,22 @@ def cmd_build(args):
     payload = op.to_json()
     out = canonical_json(payload) if args.format == "json" \
         else op.text() + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+    return EXIT_OK if _write(out, args.out) else EXIT_USAGE
+
+
+def _write(text, path):
+    """Write to the --out path, or to stdout without one.  Returns False,
+    after an error line, when the path cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print("error: cannot write --out: %s" % exc, file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +328,8 @@ def cmd_verify(args):
     else:
         out = "".join(r.text() for r in reports)
         out += "overall: %s\n" % ("pass" if ok else "FAIL")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    if not _write(out, args.out):
+        return EXIT_USAGE
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 

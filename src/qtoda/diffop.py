@@ -130,9 +130,7 @@ class DiffOp:
         return out
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        if not isinstance(other, DiffOp):
             return NotImplemented
         if self.n != other.n or self.mode != other.mode:
             return False

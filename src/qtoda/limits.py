@@ -86,9 +86,7 @@ class DifferentialOp:
         raise TypeError("cannot coerce %r" % (other,))
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        if not isinstance(other, DifferentialOp):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 

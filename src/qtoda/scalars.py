@@ -186,7 +186,13 @@ class LaurentQK:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals, so hashes like, its rational value
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and _ZKEY in terms:
+            return hash(terms[_ZKEY])
+        return hash(frozenset(terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

@@ -182,7 +182,13 @@ class TorusPoly:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        # a constant equals, so hashes like, its scalar
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and (0,) * self.n in terms:
+            return hash(terms[(0,) * self.n])
+        return hash((self.n, frozenset(terms.items())))
 
     def __bool__(self):
         return bool(self.terms)

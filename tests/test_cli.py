@@ -102,6 +102,18 @@ def test_build_to_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("build", "--n", "3", "--fund", "1"),
+    ("verify", "serre", "--n", "3"),
+], ids=["build", "verify"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    # a path that cannot be opened is a usage error, not a traceback
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ("verify", "commute", "--n", "3"),
     ("verify", "commute", "--n", "3", "--affine"),
     ("verify", "serre", "--n", "4", "--affine"),

@@ -145,6 +145,16 @@ def test_shifts_commute():
     assert a.commutator(a).is_zero
 
 
+def test_operator_is_not_equal_to_a_bare_scalar():
+    # operators hash their shift keys only, so they do not equal scalars
+    ident = DiffOp.identity(2)
+    assert ident.__eq__(1) is NotImplemented
+    assert ident != 1 and DiffOp.zero(2) != 0
+    assert ident != ONE and len({ident, 1}) == 2
+    assert ident == DiffOp(2, {(0, 0): 1})
+    assert hash(ident) == hash(DiffOp(2, {(0, 0): 1}))
+
+
 def test_mixed_algebras_rejected():
     a = DiffOp.shift(2, (1, 0))
     b = DiffOp.shift(3, (1, 0, 0))

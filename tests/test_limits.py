@@ -52,6 +52,14 @@ def test_sl_reduce_eliminates_last_derivative():
     assert not any(g[-1] for g in red.terms)
 
 
+def test_differential_op_is_not_equal_to_a_bare_scalar():
+    one = DifferentialOp(2, {(0, 0): 1})
+    assert one.__eq__(1) is NotImplemented
+    assert one != 1 and DifferentialOp.zero(2) != 0
+    # a rank mismatch compares unequal instead of raising
+    assert one != DifferentialOp(3, {(0, 0, 0): 1})
+
+
 def test_differential_op_json_round_trip():
     n = 3
     op = classical_toda(n)

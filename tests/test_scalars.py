@@ -114,6 +114,13 @@ def test_monomial_inverse_and_units():
         s.monomial_inverse()
 
 
+@pytest.mark.parametrize("x", [3, 0, -1, Fraction(1, 2)])
+def test_constant_hashes_like_its_rational(x):
+    s = LaurentQK.rational(x)
+    assert s == x and hash(s) == hash(x)
+    assert len({s, x}) == 1
+
+
 def test_integral_coefficients_are_ints():
     for make in (LaurentQK.rational, lambda c: LaurentQK.monomial(c, q2=1)):
         a, b = make(2), make(Fraction(4, 2))

@@ -85,6 +85,14 @@ def test_rat_cancellation_of_identical_factors():
     assert r == TorusRat.one(3)
 
 
+def test_constant_poly_hashes_like_its_scalar():
+    for x in (3, 0, LaurentQK.q(1)):
+        p = TorusPoly.constant(N, x)
+        assert p == x and hash(p) == hash(x)
+        assert len({p, x}) == 1
+    assert len({TorusPoly.constant(N, 3), LaurentQK.rational(3), 3}) == 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(sl_polys())
 def test_rat_is_unhashable(p):
