@@ -438,7 +438,7 @@ def conjugate_by_factor_product(ham, forms):
     """
     n, mode, coeffs = ham
     forms = [check_vector(form, n) for form in forms]
-    out_terms = {}
+    terms = {}
     for mu, syms in coeffs.items():
         syms = dict(syms)
         for form in forms:
@@ -450,10 +450,8 @@ def conjugate_by_factor_product(ham, forms):
             e = -1 if move > 0 else 1
             for off in range(min(move, 0), max(move, 0), 2):
                 syms[form, off] = syms.get((form, off), 0) + e
-        resolved = _resolve_symbols(n, syms)
-        if not resolved.is_zero:
-            out_terms[mu] = resolved
-    return DiffOp(n, out_terms, mode)
+        terms[mu] = _resolve_symbols(n, syms)
+    return DiffOp(n, terms, mode)
 
 
 def _resolve_symbols(n, syms):
