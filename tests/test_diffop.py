@@ -1,13 +1,21 @@
+import os.path as osp
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtoda.scalars import LaurentQK
-from qtoda.torus import TorusPoly, TorusRat, com_quotient_canonicalize, vadd
+from qtoda.cli import canonical_json
+from qtoda.torus import (
+    TorusPoly, TorusRat, com_quotient_canonicalize, root_form, vadd,
+)
 from qtoda.diffop import (
     GL, SL_QUOTIENT, DiffOp, DiffOpError, RootLiftOp, UnresolvedFactorError,
     conjugate_by_factor_product, cyclic_root, sect6_automorphism,
 )
-from qtoda.engine import toda_family
+from qtoda.engine import build_toda_operator, toda_family
+
+GOLDEN_AUT = osp.join(osp.dirname(osp.abspath(__file__)), "golden",
+                      "automorphism")
 
 Q = LaurentQK.q
 ONE = LaurentQK.one()
@@ -295,6 +303,32 @@ def test_automorphism_on_diffop_single_root():
     bad = DiffOp(n, {(0, 0, 0): root_mono(n, (1, 0, 0))})
     with pytest.raises(DiffOpError):
         sect6_automorphism(bad)
+
+
+@pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6)
+                                 for k in range(1, n)])
+def test_automorphism_goldens(n, k, affine):
+    # canonical JSON of the image of every engine operator up to N=5
+    name = "toda_n%d_k%d_%s.json" % (n, k, "affine" if affine else "finite")
+    with open(osp.join(GOLDEN_AUT, name)) as fh:
+        want = fh.read()
+    img = sect6_automorphism(build_toda_operator(n, k, affine))
+    assert canonical_json(img.to_json()) == want
+
+
+@pytest.mark.parametrize("m,power", [
+    ((2, 0, 0), 2), ((1, 1, 0), -1), ((0, 1, 1), -1), ((1, 0, 1), -1),
+    ((2, 1, 0), 0)])
+def test_automorphism_q_powers(m, power):
+    # e^(lam) with lam = sum_i m_i alpha_i maps to q^(s(m)) e^(lam) T_lam;
+    # engine operators never reach s(m) != 0, so their goldens cannot
+    # pin these powers
+    n, mu = 3, (1, 0, -2)
+    lam = root_form(m)
+    op = DiffOp(n, {mu: root_mono(n, lam)})
+    assert sect6_automorphism(op) == DiffOp(
+        n, {vadd(mu, lam): root_mono(n, lam, Q(power))})
 
 
 # -- square-root gauge conjugation -------------------------------------------
