@@ -15,7 +15,7 @@ from .scalars import HbarJet, LaurentQK, jet_divide, jet_expand, \
     q_binomial, q_integer, serre_scalar_sum
 from .torus import TorusPoly, TorusRat, com_quotient_canonicalize
 from .diffop import (
-    DiffOp, RootLiftOp, conjugate_by_factor_product, sect6_automorphism,
+    DiffOp, conjugate_by_factor_product, sect6_automorphism,
 )
 from .qrep import (
     DynkinData, Orientation, RepData, build_orientation, fundamental_rep,
@@ -40,8 +40,7 @@ __all__ = [
     "HbarJet", "LaurentQK", "jet_divide", "jet_expand", "q_binomial",
     "q_integer", "serre_scalar_sum",
     "TorusPoly", "TorusRat", "com_quotient_canonicalize",
-    "DiffOp", "RootLiftOp", "conjugate_by_factor_product",
-    "sect6_automorphism",
+    "DiffOp", "conjugate_by_factor_product", "sect6_automorphism",
     "DynkinData", "Orientation", "RepData", "build_orientation",
     "fundamental_rep", "qp_normal_order", "verify_serre_homomorphism",
     "EngineConfig", "NCWord", "build_toda_operator", "expand_central_words",

@@ -12,21 +12,21 @@ then canonicalized modulo (1,...,1)).
 
 The module also houses two transformations used by the verification
 suites: the generator automorphism T_i -> T_i,
-e^(z_i - z_(i+1)) -> e^(z_i - z_(i+1)) T_i T_(i+1)^(-1) on a
-winding-tracked coefficient lattice, and gauge conjugation by a product
-of factors psi with psi(x + 2 hbar) = psi(x) f(x)^(-1), f a square-root
-symbol.
+e^(z_i - z_(i+1)) -> e^(z_i - z_(i+1)) T_i T_(i+1)^(-1), applied monomial
+by monomial to coefficients in the root exponentials, and gauge
+conjugation by a product of factors psi with psi(x + 2 hbar) =
+psi(x) f(x)^(-1), f a square-root symbol.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import LaurentQK, as_scalar
+from .scalars import LaurentQK
 from .torus import (
     TorusPoly, TorusRat,
     add_terms, check_vector, com_quotient_canonicalize, cyclic_root, dot,
-    root_form, vadd,
+    vadd,
 )
 
 GL = "gl"
@@ -281,90 +281,10 @@ class DiffOp:
 # The map fixes every T_i and sends the cyclic root exponential
 # E_i = e^(z_i - z_(i+1)) to E_i T_i T_(i+1)^(-1).  Because the N cyclic
 # root exponentials multiply to 1 while their images pick up a net q power,
-# the map is only multiplicative on coefficients tracked on the covering
-# lattice Z^N of formal E-monomials ("winding" kept explicit).  RootLiftOp
-# is that lifted algebra; plain operators are lifted monomial by monomial
-# with the minimum-entry-zero representative.
-
-class RootLiftOp:
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = add_terms({}, (
-            ((check_vector(m, n), check_vector(mu, n)), as_scalar(c))
-            for (m, mu), c in terms.items())) if terms else {}
-
-    @staticmethod
-    def generator_e(n, i, power=1):
-        m = [0] * n
-        m[i - 1] = power
-        return RootLiftOp(n, {(tuple(m), (0,) * n): LaurentQK.one()})
-
-    @staticmethod
-    def generator_t(n, j, power=1):
-        mu = [0] * n
-        mu[j - 1] = power
-        return RootLiftOp(n, {((0,) * n, tuple(mu)): LaurentQK.one()})
-
-    def __add__(self, other):
-        return RootLiftOp(self.n,
-                          add_terms(dict(self.terms), other.terms.items()))
-
-    def __neg__(self):
-        return RootLiftOp(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentQK)):
-            s = as_scalar(other)
-            return RootLiftOp(self.n,
-                              {k: c * s for k, c in self.terms.items()})
-        # T_mu1 E^m2 = q^(lam2 . mu1) E^m2 T_mu1 with lam2 = root_form(m2)
-        return RootLiftOp(self.n, add_terms({}, (
-            ((vadd(m1, m2), vadd(mu1, mu2)),
-             c1 * c2 * LaurentQK.q(dot(root_form(m2), mu1)))
-            for (m1, mu1), c1 in self.terms.items()
-            for (m2, mu2), c2 in other.terms.items())))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, RootLiftOp):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms)))
-
-    def to_diffop(self, mode=SL_QUOTIENT):
-        """Forget the winding: E^m becomes the torus monomial e^(lam . z)."""
-        return DiffOp(self.n, add_terms({}, (
-            (mu, TorusRat.monomial(self.n, root_form(m), c))
-            for (m, mu), c in self.terms.items())), mode)
-
-    @staticmethod
-    def from_diffop(op):
-        """Lift each coefficient monomial with the minimum-entry-zero
-        winding representative.  Coefficients must be polynomial with
-        zero-sum exponents (Laurent combinations of root exponentials)."""
-        terms = {}
-        for mu, f in op.terms.items():
-            if not f.is_polynomial():
-                raise DiffOpError("cannot lift a non-polynomial coefficient")
-            add_terms(terms, (((_min_zero_lift(lam), mu), c)
-                              for lam, c in f.num.terms.items()))
-        return RootLiftOp(op.n, terms)
-
-    def __repr__(self):
-        parts = []
-        for (m, mu) in sorted(self.terms):
-            parts.append("(%s) E%s T%s"
-                         % (self.terms[(m, mu)].text(), list(m), list(mu)))
-        return "RootLiftOp[%s]" % ("  +  ".join(parts) or "0")
-
+# the image of a coefficient monomial depends on the winding vector m with
+# which it is written as E^m.  Every monomial is read with the
+# minimum-entry-zero winding, so the map is multiplicative only on products
+# whose windings add.
 
 def _min_zero_lift(lam):
     """Winding vector m with sum_i m_i alpha_i = lam (cyclic roots) and
@@ -384,21 +304,18 @@ def _min_zero_lift(lam):
 
 def sect6_automorphism(op):
     """Image of an operator under T_i -> T_i,
-    E_i -> E_i T_i T_(i+1)^(-1) (cyclic indices).
+    E_i -> E_i T_i T_(i+1)^(-1) (cyclic indices), in the same mode.
 
-    Accepts either a RootLiftOp or a DiffOp whose coefficients are Laurent
-    polynomials in the root exponentials; a DiffOp comes back as a DiffOp
-    in the same mode.  On a winding term E^m T_mu the images of the
-    generators are multiplied in ascending generator order, which yields
+    The coefficients must be Laurent polynomials in the root
+    exponentials.  A monomial e^(lam . z) is E^m with m the
+    minimum-entry-zero winding of lam; multiplying the images of the
+    generators in ascending generator order yields
 
-        q^(s(m)) E^m T_(mu + sum_i m_i (e_i - e_(i+1))),
+        c e^(lam . z) T_mu -> c q^(s(m)) e^(lam . z) T_(mu + lam),
 
     with s(m) = sum_i m_i (m_i - 1)
              + sum_(i<j) m_i m_j (alpha_j . (e_i - e_(i+1))).
     """
-    if isinstance(op, DiffOp):
-        lifted = RootLiftOp.from_diffop(op)
-        return sect6_automorphism(lifted).to_diffop(op.mode)
     n = op.n
     roots = [cyclic_root(n, i) for i in range(1, n + 1)]
 
@@ -411,9 +328,18 @@ def sect6_automorphism(op):
                     out += mi * m[j] * dot(roots[j], roots[i])
         return out
 
-    return RootLiftOp(n, add_terms({}, (
-        ((m, vadd(mu, root_form(m))), c * LaurentQK.q(q_power(m)))
-        for (m, mu), c in op.terms.items())))
+    # output shift -> {exponent: scalar}; distinct (mu, lam) pairs land on
+    # distinct (mu + lam, lam) slots, so nothing is added or cancelled
+    images = {}
+    for mu, f in op.terms.items():
+        if not f.is_polynomial():
+            raise DiffOpError("cannot lift a non-polynomial coefficient")
+        for lam, c in f.num.terms.items():
+            p = q_power(_min_zero_lift(lam))
+            images.setdefault(vadd(mu, lam), {})[lam] = \
+                c * LaurentQK.q(p) if p else c
+    return DiffOp(n, {nu: TorusPoly._wrap(n, acc)
+                      for nu, acc in images.items()}, op.mode)
 
 
 # ---------------------------------------------------------------------------

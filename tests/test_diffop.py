@@ -9,7 +9,7 @@ from qtoda.torus import (
     TorusPoly, TorusRat, com_quotient_canonicalize, root_form, vadd,
 )
 from qtoda.diffop import (
-    GL, SL_QUOTIENT, DiffOp, DiffOpError, RootLiftOp, UnresolvedFactorError,
+    GL, SL_QUOTIENT, DiffOp, DiffOpError, UnresolvedFactorError,
     conjugate_by_factor_product, cyclic_root, sect6_automorphism,
 )
 from qtoda.engine import build_toda_operator, toda_family
@@ -246,39 +246,60 @@ def test_json_round_trip():
 
 # -- generator automorphism ---------------------------------------------------
 
-def lift_terms(n=3):
+def unit_shift(n, j):
+    return DiffOp.shift(n, tuple(int(i == j) for i in range(1, n + 1)))
+
+
+def root_exp(n, i):
+    return DiffOp(n, {(0,) * n: root_mono(n, cyclic_root(n, i))})
+
+
+def cone_ops(n=3):
+    """Random operators whose coefficient exponents are nonnegative
+    combinations of alpha_1..alpha_(N-1): their windings add under
+    products."""
     entry = st.tuples(
-        st.tuples(*[st.integers(min_value=0, max_value=2)] * n),
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * (n - 1)),
         st.tuples(*[st.integers(min_value=-2, max_value=2)] * n),
         st.fractions(min_value=-3, max_value=3, max_denominator=2))
     def build(entries):
-        terms = {}
+        op = DiffOp.zero(n)
         for m, mu, c in entries:
-            key = (tuple(m), tuple(mu))
-            prev = terms.get(key, LaurentQK.zero())
-            terms[key] = prev + LaurentQK.rational(c)
-        return RootLiftOp(n, terms)
+            lam = root_form(m + (0,))
+            op = op + DiffOp.shift(
+                n, mu, root_mono(n, lam, LaurentQK.rational(c)))
+        return op
     return st.lists(entry, min_size=1, max_size=3).map(build)
 
 
 def test_automorphism_on_generators():
     n = 3
     for j in range(1, n + 1):
-        t = RootLiftOp.generator_t(n, j)
+        t = unit_shift(n, j)
         assert sect6_automorphism(t) == t
     for i in range(1, n + 1):
-        e = RootLiftOp.generator_e(n, i)
-        img = sect6_automorphism(e)
-        root = cyclic_root(n, i)
-        expected = e * RootLiftOp(n, {((0,) * n, root): ONE})
-        assert img == expected
+        e = root_exp(n, i)
+        assert sect6_automorphism(e) == \
+            e * DiffOp.shift(n, cyclic_root(n, i))
 
 
 @settings(max_examples=40, deadline=None)
-@given(lift_terms(), lift_terms())
+@given(cone_ops(), cone_ops())
 def test_automorphism_respects_products(a, b):
     assert sect6_automorphism(a * b) == \
         sect6_automorphism(a) * sect6_automorphism(b)
+
+
+def test_automorphism_is_not_multiplicative_around_the_cycle():
+    # e^(alpha_1) e^(alpha_2) e^(alpha_3) = 1 is fixed, while the product
+    # of the images picks up q^(alpha_2 . alpha_1 + alpha_3 . (alpha_1 +
+    # alpha_2)) = q^(-3): windings (1, 1, 1) do not lift to (0, 0, 0)
+    n = 3
+    e1, e2, e3 = (root_exp(n, i) for i in (1, 2, 3))
+    assert e1 * e2 * e3 == DiffOp.identity(n)
+    assert sect6_automorphism(e1 * e2 * e3) == DiffOp.identity(n)
+    images = [sect6_automorphism(e) for e in (e1, e2, e3)]
+    assert images[0] * images[1] * images[2] == DiffOp.identity(n) * Q(-3)
 
 
 def test_automorphism_reordering_consistency():
@@ -287,8 +308,8 @@ def test_automorphism_reordering_consistency():
     n = 4
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            e = RootLiftOp.generator_e(n, i)
-            t = RootLiftOp.generator_t(n, j)
+            e = root_exp(n, i)
+            t = unit_shift(n, j)
             assert sect6_automorphism(t * e) == \
                 sect6_automorphism(t) * sect6_automorphism(e)
 
@@ -301,8 +322,12 @@ def test_automorphism_on_diffop_single_root():
     assert img == DiffOp(n, {(1, -1, 0): root_mono(n, (1, -1, 0))},
                          SL_QUOTIENT)
     bad = DiffOp(n, {(0, 0, 0): root_mono(n, (1, 0, 0))})
-    with pytest.raises(DiffOpError):
+    with pytest.raises(DiffOpError, match="root lattice"):
         sect6_automorphism(bad)
+    rat = DiffOp(n, {(0, 0, 0): TorusRat(
+        TorusPoly.one(n), TorusPoly.monomial(n, (1, -1, 0)) + 1)})
+    with pytest.raises(DiffOpError, match="non-polynomial"):
+        sect6_automorphism(rat)
 
 
 @pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
