@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalars import LaurentQK
-from .torus import TorusPoly, add_terms, dot, vadd
+from .torus import TorusPoly, add_terms, cyclic_root, dot, vadd
 from .diffop import GL, DiffOp
 from .qrep import (
     Orientation, QRepError, build_orientation, fundamental_rep,
@@ -164,7 +164,7 @@ def expand_central_words(rep, cfg):
 def _root_sum(dynkin, nodes):
     total = (0,) * dynkin.n
     for i in nodes:
-        total = vadd(total, dynkin.simple_root(i))
+        total = vadd(total, cyclic_root(dynkin.n, i))
     return total
 
 

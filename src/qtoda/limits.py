@@ -6,8 +6,8 @@ coefficients, truncated hbar expansions of difference operators (shift
 operators become exponentials of derivatives), and the steepest-growth
 limits of the trigonometric and elliptic inverse-sinh-squared models.
 
-Type A constants live here: the dual Coxeter number equals N and the
-maximal root is e_1 - e_N.
+Type A constants live here: the dual Coxeter number equals N, and the
+lowest root -theta = e_N - e_1 is the cyclic root alpha_N.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ class LimitError(ArithmeticError):
 
 def dual_coxeter(n):
     return n
-
-
-def maximal_root(n):
-    v = [0] * n
-    v[0], v[-1] = 1, -1
-    return tuple(v)
 
 
 class DifferentialOp:
@@ -184,11 +178,9 @@ def classical_toda(n):
 
 def affine_classical_toda(n):
     """The classical Hamiltonian with the extra K e^(-theta . z) term on
-    the lowest weight direction; K stays symbolic."""
-    theta = maximal_root(n)
-    extra = DifferentialOp(
-        n, {(0,) * n: TorusPoly.monomial(
-            n, tuple(-t for t in theta), LaurentQK.k(1))})
+    the lowest weight direction, -theta = alpha_N; K stays symbolic."""
+    extra = DifferentialOp(n, {(0,) * n: TorusPoly.monomial(
+        n, cyclic_root(n, n), LaurentQK.k(1))})
     return classical_toda(n) + extra.sl_reduce()
 
 

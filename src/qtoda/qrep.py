@@ -22,7 +22,6 @@ import itertools
 from fractions import Fraction
 
 from .scalars import LaurentQK, q_binomial
-from .torus import cyclic_root
 
 
 class QRepError(ValueError):
@@ -63,10 +62,6 @@ class DynkinData:
 
     def adjacent(self, i, j):
         return i != j and self.a(i, j) != 0
-
-    def simple_root(self, i):
-        """alpha_i in Z^N coordinates; node 0 gives e_N - e_1."""
-        return cyclic_root(self.n, i)
 
 
 def weyl_vector(n):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qtoda.scalars import LaurentQK
+from qtoda.torus import cyclic_root
 from qtoda.qrep import (
     DynkinData, Orientation, QRepError, build_orientation, fundamental_rep,
     qp_normal_order, rho_pairing2, verify_serre_homomorphism, weyl_vector,
@@ -39,7 +40,7 @@ def test_weyl_vector_pairings():
     for n in (2, 3, 4, 5):
         dynkin = DynkinData(n)
         for i in dynkin.nodes:
-            assert rho_pairing2(n, dynkin.simple_root(i)) == 2
+            assert rho_pairing2(n, cyclic_root(n, i)) == 2
         assert sum(weyl_vector(n)) == 0
 
 
@@ -117,9 +118,8 @@ def test_vector_rep_tables():
 def test_rep_defining_relations(n, k, affine):
     rep = fundamental_rep(n, k, affine)
     assert rep.nilpotency_check()
-    dynkin = DynkinData(n, affine)
     for i in rep.nodes:
-        root = dynkin.simple_root(i)
+        root = cyclic_root(n, i)
         for s, t in rep.e_action[i].items():
             dw = tuple(a - b for a, b in zip(rep.weight(t), rep.weight(s)))
             assert dw == root
