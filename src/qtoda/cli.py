@@ -9,6 +9,7 @@ and excluded from any byte-level comparison of operator payloads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -106,29 +107,26 @@ def cmd_build(args):
               file=sys.stderr)
         return EXIT_USAGE
     gauge = not args.raw
-    op = build_toda_operator(args.n, args.fund, affine=args.affine,
-                             gauge=gauge, quotient=gauge)
-    if args.k_value is not None:
-        op = op.substitute_k(args.k_value)
-    payload = op.to_json()
-    out = canonical_json(payload) if args.format == "json" \
-        else op.text() + "\n"
-    return EXIT_OK if _write(out, args.out) else EXIT_USAGE
+    with _open_out(args.out) as fh:
+        op = build_toda_operator(args.n, args.fund, affine=args.affine,
+                                 gauge=gauge, quotient=gauge)
+        if args.k_value is not None:
+            op = op.substitute_k(args.k_value)
+        fh.write(canonical_json(op.to_json()) if args.format == "json"
+                 else op.text() + "\n")
+    return EXIT_OK
 
 
-def _write(text, path):
-    """Write to the --out path, or to stdout without one.  Returns False,
-    after an error line, when the path cannot be written."""
+def _open_out(path):
+    """The --out path opened for writing, or stdout without one.  It is
+    opened before any work, so that a path that cannot be written is a
+    usage error at once rather than after a long run."""
     if not path:
-        sys.stdout.write(text)
-        return True
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return open(path, "w")
     except OSError as exc:
-        print("error: cannot write --out: %s" % exc, file=sys.stderr)
-        return False
-    return True
+        raise ValueError("cannot write --out: %s" % exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -310,46 +308,52 @@ def _all_reports(max_n):
     return reports
 
 
+# Every verify suite with the options it reads, in call order, the rank
+# first; "all" runs _all_reports.
+SUITES = {
+    "commute": (suite_commute, ("n", "affine")),
+    "serre": (suite_serre, ("n", "affine")),
+    "quasiclassical": (suite_quasiclassical, ("n",)),
+    "automorphism": (suite_automorphism, ("n",)),
+    "relativistic": (suite_relativistic, ("n",)),
+    "macdonald-limit": (suite_macdonald_limit, ("n",)),
+    "cm-limit": (suite_cm_limit, ("n", "elliptic")),
+    "all": (None, ("max_n",)),
+}
+DEFAULT_RANK = 3
+
+
+def _option(name):
+    return "--" + name.replace("_", "-")
+
+
 def cmd_verify(args):
-    rank, flag = (args.max_n, "--max-n") if args.suite == "all" \
-        else (args.n, "--n")
-    if rank < 2:
-        print("error: %s must be at least 2" % flag, file=sys.stderr)
+    suite, reads = SUITES[args.suite]
+    for name in ("n", "max_n", "affine", "elliptic"):
+        value = getattr(args, name)
+        if value is not None and value is not False and name not in reads:
+            print("error: %s does not apply to verify %s"
+                  % (_option(name), args.suite), file=sys.stderr)
+            return EXIT_USAGE
+    values = [getattr(args, name) for name in reads]
+    if values[0] is None:
+        values[0] = DEFAULT_RANK
+    if values[0] < 2:
+        print("error: %s must be at least 2" % _option(reads[0]),
+              file=sys.stderr)
         return EXIT_USAGE
-    if args.suite == "all":
-        reports = _all_reports(args.max_n)
-    else:
-        reports = [_single_suite(args)]
-    ok = all(r.ok for r in reports)
-    if args.format == "json":
-        payload = {"status": "pass" if ok else "fail",
-                   "reports": [r.to_json() for r in reports]}
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        out = "".join(r.text() for r in reports)
-        out += "overall: %s\n" % ("pass" if ok else "FAIL")
-    if not _write(out, args.out):
-        return EXIT_USAGE
+    with _open_out(args.out) as fh:
+        reports = _all_reports(*values) if suite is None \
+            else [suite(*values)]
+        ok = all(r.ok for r in reports)
+        if args.format == "json":
+            payload = {"status": "pass" if ok else "fail",
+                       "reports": [r.to_json() for r in reports]}
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        else:
+            fh.write("".join(r.text() for r in reports)
+                     + "overall: %s\n" % ("pass" if ok else "FAIL"))
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
-
-
-def _single_suite(args):
-    n = args.n
-    if args.suite == "commute":
-        return suite_commute(n, args.affine)
-    if args.suite == "serre":
-        return suite_serre(n, args.affine)
-    if args.suite == "quasiclassical":
-        return suite_quasiclassical(n)
-    if args.suite == "automorphism":
-        return suite_automorphism(n)
-    if args.suite == "relativistic":
-        return suite_relativistic(n)
-    if args.suite == "macdonald-limit":
-        return suite_macdonald_limit(n)
-    if args.suite == "cm-limit":
-        return suite_cm_limit(n, args.elliptic)
-    raise AssertionError(args.suite)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +388,13 @@ def make_parser():
     b.add_argument("--format", choices=["json", "text"], default="json")
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=[
-        "commute", "serre", "quasiclassical", "automorphism",
-        "relativistic", "macdonald-limit", "cm-limit", "all"])
-    v.add_argument("--n", type=int, default=3)
+    v.add_argument("suite", choices=list(SUITES))
+    v.add_argument("--n", type=int, default=None,
+                   help="rank of a single suite (default %d)" % DEFAULT_RANK)
     v.add_argument("--affine", action="store_true")
     v.add_argument("--elliptic", action="store_true")
-    v.add_argument("--max-n", type=int, default=3)
+    v.add_argument("--max-n", type=int, default=None,
+                   help="highest rank of all (default %d)" % DEFAULT_RANK)
     v.add_argument("--out", type=str, default=None)
     v.add_argument("--format", choices=["json", "text"], default="text")
     return parser

@@ -113,6 +113,39 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error:") and not path.exists()
 
 
+@pytest.mark.parametrize("argv,attr", [
+    (("build", "--n", "3", "--fund", "1"), "build_toda_operator"),
+    (("verify", "all", "--max-n", "4"), "_all_reports"),
+], ids=["build", "verify-all"])
+def test_out_is_opened_before_any_work(tmp_path, capsys, monkeypatch,
+                                       argv, attr):
+    # an unwritable --out is reported before a single operator is built
+    from qtoda import cli as cli_mod
+
+    def never(*a, **kw):
+        raise AssertionError("work started before --out was opened")
+
+    monkeypatch.setattr(cli_mod, attr, never)
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out:")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("verify", "automorphism", "--n", "3", "--affine"), "--affine"),
+    (("verify", "quasiclassical", "--elliptic"), "--elliptic"),
+    (("verify", "serre", "--max-n", "6"), "--max-n"),
+    (("verify", "all", "--n", "7"), "--n"),
+    (("verify", "all", "--n", "0"), "--n"),
+], ids=["automorphism-affine", "quasiclassical-elliptic", "serre-max-n",
+        "all-n", "all-n0"])
+def test_verify_rejects_options_its_suite_ignores(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s does not apply to verify %s\n" % (flag, argv[1])
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "commute", "--n", "3"),
     ("verify", "commute", "--n", "3", "--affine"),
