@@ -10,6 +10,13 @@ is exact, values are immutable, and quotient mode works over functions
 invariant under the simultaneous shift of all coordinates (shift keys are
 then canonicalized modulo (1,...,1)).
 
+Every engine operator is a sum of monomials w e^(lam . z) T_mu whose
+scalar is exactly a weight w(j, k) = ROOT_WEIGHT^j K^k, one factor
+ROOT_WEIGHT = -(q - q^-1)^2 per cyclic root exponential.  Composition
+decodes such operands into integer lattice points and counts products
+per point instead of multiplying scalars; any other coefficient is
+multiplied exactly in TorusRat.
+
 The module also houses two transformations used by the verification
 suites: the generator automorphism T_i -> T_i,
 e^(z_i - z_(i+1)) -> e^(z_i - z_(i+1)) T_i T_(i+1)^(-1), applied monomial
@@ -21,6 +28,7 @@ psi(x) f(x)^(-1), f a square-root symbol.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 from .scalars import LaurentQK
 from .torus import (
@@ -31,6 +39,19 @@ from .torus import (
 
 GL = "gl"
 SL_QUOTIENT = "sl-quotient"
+
+#: -(q - q^-1)^2, the scalar of each cyclic root exponential in an engine
+#: operator (with an extra K on the affine wrap root)
+ROOT_WEIGHT = -(LaurentQK.q(1) - LaurentQK.q(-1)) ** 2
+_WEIGHTS = {}   # (j, k, p) -> terms of q^p ROOT_WEIGHT^j K^k; read only
+
+
+def _weight(j, k, p=0):
+    w = _WEIGHTS.get((j, k, p))
+    if w is None:
+        w = _WEIGHTS[j, k, p] = (
+            ROOT_WEIGHT ** j * LaurentQK.monomial(1, q2=2 * p, k=k)).terms
+    return w
 
 
 class DiffOpError(ValueError):
@@ -148,49 +169,59 @@ class DiffOp:
     # -- algebra ----------------------------------------------------------
 
     def compose(self, other):
-        """Operator product, exact and associative.
+        """Operator product, exact and associative:
+        (f T_mu)(g T_nu) = f sigma_mu(g) T_(mu+nu).
 
-        (f T_mu)(g T_nu) = f sigma_mu(g) T_(mu+nu).  When f and g are
-        polynomials, every numerator term c1 e^(l1) of f and c2 e^(l2) of g
-        adds c1 c2 q^(l2 . mu) e^(l1+l2) to one accumulator per output
-        shift, and each output coefficient becomes one TorusRat at the end.
-        A pair with a non-unit denominator is multiplied exactly as
-        TorusRat in the same loop and added to the same output shift.
+        A coefficient monomial c e^(lam . z) of T_mu whose scalar c is
+        exactly a weight w(j, k) = ROOT_WEIGHT^j K^k, j >= 0, decodes to
+        the lattice point mu + lam + (j, k).  When every monomial of both
+        operands decodes, a pair of points adds componentwise and picks up
+        q^(lam2 . mu): the pairs are counted as integers per (point sum,
+        lam2 . mu), and each count adds count q^(lam2 . mu) w(J, K)
+        e^(lam . z) T_mu to the product once, at the end.  Otherwise every
+        pair of terms is multiplied exactly as f * sigma_mu(g) in TorusRat.
         """
         other = self._coerce(other)
         self._check(other)
-        quotient = self.mode == SL_QUOTIENT
-        polys = {}   # output shift -> {exponent: scalar}
-        rats = {}    # output shift -> TorusRat sum of rational products
-        right = [(nu, g, g.is_polynomial()) for nu, g in other.terms.items()]
-        for mu, f in self.terms.items():
-            f_poly = f.is_polynomial()
-            for nu, g, g_poly in right:
-                key = vadd(mu, nu)
-                if quotient:
-                    key = com_quotient_canonicalize(key)
-                if f_poly and g_poly:
-                    acc = polys.setdefault(key, {})
-                    for l2, c2 in g.num.terms.items():
-                        p = dot(l2, mu)
-                        if p:
-                            c2 = c2 * LaurentQK.q(p)
-                        for l1, c1 in f.num.terms.items():
-                            e = vadd(l1, l2)
-                            c = c1 * c2
-                            prev = acc.get(e)
-                            acc[e] = c if prev is None else prev + c
-                else:
-                    p = f * g.shift_substitute(mu)
-                    prev = rats.get(key)
-                    rats[key] = p if prev is None else prev + p
-        terms = {key: TorusRat(TorusPoly._wrap(
-                     self.n, {e: c for e, c in acc.items() if c}))
-                 for key, acc in polys.items()}
-        for key, r in rats.items():
-            terms[key] = terms[key] + r if key in terms else r
-        return self._wrap({key: f for key, f in terms.items()
-                           if not f.is_zero})
+        n, quotient = self.n, self.mode == SL_QUOTIENT
+        left, right, exact = [], [], False
+        for op, points in ((self, left), (other, right)):
+            for mu, f in op.terms.items():
+                exact = exact or not f.is_polynomial()
+                for lam, c in f.num.terms.items():
+                    q2, k = max(c.terms)[:2]
+                    if q2 < 0 or q2 % 4 or _weight(q2 // 4, k) != c.terms:
+                        exact = True
+                    points.append((mu + lam + (q2 // 4, k), lam))
+        terms = {}
+        if exact:
+            for mu, f in self.terms.items():
+                for nu, g in other.terms.items():
+                    key = vadd(mu, nu)
+                    if quotient:
+                        key = com_quotient_canonicalize(key)
+                    add_terms(terms, ((key, f * g.shift_substitute(mu)),))
+            return self._wrap(terms)
+        counts = {}
+        for a, _ in left:
+            mu = a[:n]
+            for b, lam in right:
+                key = tuple(map(add, a, b)), sum(map(mul, lam, mu))
+                counts[key] = counts.get(key, 0) + 1
+        # quotient shifts end in 0, so their sums are canonical already
+        sums = {}   # output shift + exponent -> {scalar key: int}
+        for (v, p), count in counts.items():
+            acc = sums.setdefault(v[:-2], {})
+            for key, c in _weight(v[-2], v[-1], p).items():
+                acc[key] = acc.get(key, 0) + count * c
+        for v, acc in sums.items():
+            if 0 in acc.values():
+                for key in [key for key, c in acc.items() if not c]:
+                    del acc[key]
+            if acc:
+                terms.setdefault(v[:n], {})[v[n:]] = LaurentQK._wrap(acc)
+        return self._wrap({mu: TorusRat(TorusPoly._wrap(n, poly))
+                           for mu, poly in terms.items()})
 
     def commutator(self, other):
         return self.compose(other) - other.compose(self)

@@ -86,6 +86,14 @@ class LaurentQK:
         return LaurentQK({(q2, k, g2, tk): _as_fraction(coeff)})
 
     @staticmethod
+    def _wrap(terms):
+        """A scalar on a dict that is already clean: exponent keys of
+        length 4 and nonzero rational values; no copy, no checks."""
+        out = LaurentQK.__new__(LaurentQK)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def q(n=1):
         """q^n for integer n."""
         return LaurentQK.monomial(1, q2=2 * n)

@@ -258,3 +258,43 @@ def test_verify_json_format(capsys):
     checks = payload["reports"][0]["checks"]
     assert all(c["status"] == "pass" for c in checks)
     assert all("anchor" in c for c in checks)
+
+
+def test_automorphism_k0_failure_carries_the_k0_form(monkeypatch):
+    from qtoda import cli as cli_mod
+    real = cli_mod.toda_simplified_form
+
+    def doubled(n, affine):
+        op = real(n, affine)
+        return op * 2 if affine else op
+
+    monkeypatch.setattr(cli_mod, "toda_simplified_form", doubled)
+    checks = {c["id"]: c for c in cli_mod.suite_automorphism(3).checks}
+    check = checks["automorphism-n3-k0"]
+    assert check["status"] == "fail"
+    assert check["residual"] == (real(3, True) * 2).substitute_k(0).to_json()
+
+
+def test_cm_limit_failures_carry_a_residual(monkeypatch):
+    from qtoda import cli as cli_mod
+    from qtoda.limits import SinhTerm, cm_limit
+
+    # a wrong limit operator is reported with its JSON
+    def doubled(n, elliptic):
+        op, certs = cm_limit(n, elliptic=elliptic)
+        return op * 2, certs
+
+    monkeypatch.setattr(cli_mod, "cm_limit", doubled)
+    check, = cli_mod.suite_cm_limit(3, False).checks
+    assert check["status"] == "fail"
+    assert check["residual"] == (cm_limit(3)[0] * 2).to_json()
+    monkeypatch.undo()
+
+    # a non-surviving term that does not decay raises inside cm_limit, so
+    # the check fails with that error as its residual
+    real = SinhTerm.survivor_degree
+    monkeypatch.setattr(SinhTerm, "survivor_degree",
+                        lambda self: abs(real(self)))
+    check, = cli_mod.suite_cm_limit(3, False).checks
+    assert check["status"] == "fail"
+    assert check["residual"].startswith("LimitError('divergent term at ")

@@ -1,15 +1,17 @@
 import os.path as osp
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtoda import cli, engine
 from qtoda.scalars import LaurentQK
 from qtoda.cli import canonical_json
 from qtoda.torus import (
     TorusPoly, TorusRat, com_quotient_canonicalize, root_form, vadd,
 )
 from qtoda.diffop import (
-    GL, SL_QUOTIENT, DiffOp, DiffOpError, UnresolvedFactorError,
+    GL, ROOT_WEIGHT, SL_QUOTIENT, DiffOp, DiffOpError, UnresolvedFactorError,
     conjugate_by_factor_product, cyclic_root, sect6_automorphism,
 )
 from qtoda.engine import build_toda_operator, toda_family
@@ -93,7 +95,7 @@ def rational_ops(n=3, mode=GL):
 
 
 @pytest.mark.parametrize("affine", [False, True])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_compose_matches_reference_on_families(n, affine):
     family = toda_family(n, affine)
     for a in family:
@@ -131,6 +133,132 @@ def test_compose_rational_coefficient_example():
     assert a * c == DiffOp(n, {
         (1, 0, 0): TorusRat(e12 * Q(1) + 1, p),
         (0, 1, 0): TorusRat(e12 * (e12 * Q(-1) + 1))})
+
+
+def weight_ops(n, mode):
+    """Random unit-weight point sets: distinct (mu, lam) with coefficient
+    ROOT_WEIGHT^j K^k e^(lam . z), lam = root_form(m), j = |m|."""
+    def build(points):
+        terms = {}
+        for mu, m, k in points:
+            if mode == SL_QUOTIENT:
+                mu = com_quotient_canonicalize(mu)
+            terms.setdefault(mu, {}).setdefault(
+                root_form(m), ROOT_WEIGHT ** sum(m) * LaurentQK.k(k))
+        return DiffOp(n, {mu: TorusPoly(n, poly)
+                          for mu, poly in terms.items()}, mode)
+
+    point = st.tuples(
+        st.tuples(*[st.integers(min_value=-2, max_value=2)] * n),
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * n),
+        st.integers(min_value=0, max_value=1))
+    return st.lists(point, min_size=1, max_size=6).map(build)
+
+
+@pytest.mark.parametrize("mode", [GL, SL_QUOTIENT])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compose_matches_reference_on_unit_weight_points(mode, data):
+    n = data.draw(st.integers(min_value=2, max_value=4))
+    a = data.draw(weight_ops(n, mode))
+    b = data.draw(weight_ops(n, mode))
+    assert a.compose(b).to_json() == reference_compose(a, b).to_json()
+
+
+def test_compose_drops_cancelled_scalar_terms():
+    # a = T_(2,0) + w(1) e^(z1 - z2) T_(1,1) and b = e^(z1 - z2) + T_(1,-1):
+    # on T_(2,0) e^(z1 - z2) the counts q^2 w(0) and w(1) = -q^2 + 2 - q^-2
+    # cancel in q^2
+    n = 2
+    a = DiffOp(n, {(2, 0): 1, (1, 1): root_mono(n, (1, -1), ROOT_WEIGHT)})
+    b = DiffOp(n, {(0, 0): root_mono(n, (1, -1)), (1, -1): 1})
+    ab = a * b
+    assert ab.to_json() == reference_compose(a, b).to_json()
+    assert ab.terms[(2, 0)] == root_mono(n, (1, -1), 2 - Q(-2))
+
+
+def replace_root_coefficient(op, fn):
+    """op with the coefficient f of its first term carrying a root
+    exponential replaced by fn(f)."""
+    mu = next(mu for mu in sorted(op.terms)
+              if any(next(iter(op.terms[mu].num.terms))))
+    return DiffOp(op.n, {**op.terms, mu: fn(op.terms[mu])}, op.mode)
+
+
+E1 = TorusPoly.monomial(3, cyclic_root(3, 1))
+
+# coefficients that are not exactly one weight ROOT_WEIGHT^j K^k
+UNDECODABLE = {
+    "twice": lambda f: f * 2,
+    "half-q-power": lambda f: f * LaurentQK.q_half(1),
+    "negative-top-q-power": lambda f: f * Q(-3),
+    "g2-slot": lambda f: f * LaurentQK.g2(1),
+    "denominator": lambda f: f / TorusRat(E1 + 1),
+    "two-weights": lambda f: TorusRat(f.num + f.num * ROOT_WEIGHT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_compose_falls_back_on_undecodable_coefficients(case):
+    a, b = toda_family(3, True)
+    a = replace_root_coefficient(a, UNDECODABLE[case])
+    for x, y in ((a, b), (b, a), (a, a)):
+        got, want = x.compose(y), reference_compose(x, y)
+        if case == "g2-slot":
+            # the g^2 slot has no canonical JSON
+            assert got.text() == want.text()
+        else:
+            assert got.to_json() == want.to_json()
+
+
+def test_compose_falls_back_on_k_substituted_weights():
+    # --k-value 1/2 leaves weights with Fraction coefficients
+    a, b = (op.substitute_k(Fraction(1, 2)) for op in toda_family(3, True))
+    for x, y in ((a, b), (b, a)):
+        assert x.compose(y).to_json() == reference_compose(x, y).to_json()
+
+
+def test_family_products_take_the_counting_path(monkeypatch):
+    # every engine product is counted on the lattice: neither the exact
+    # TorusRat product nor polynomial multiplication runs
+    families = [toda_family(n, affine)
+                for n in (2, 3, 4, 5) for affine in (False, True)]
+    calls = []
+    for cls, name in ((TorusRat, "shift_substitute"),
+                      (TorusPoly, "__mul__")):
+        def counted(*args, orig=getattr(cls, name), name=name):
+            calls.append(name)
+            return orig(*args)
+        monkeypatch.setattr(cls, name, counted)
+    for family in families:
+        for a in family:
+            for b in family:
+                a.compose(b)
+    assert calls == []
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_planted_non_commuting_pair_reports_its_residual(affine, monkeypatch):
+    # drop one (m, mu) point from the second operator of the N = 4 family
+    family = toda_family(4, affine)
+    op = family[1]
+    mu = sorted(op.terms)[1]
+    family[1] = DiffOp(op.n, {nu: f for nu, f in op.terms.items()
+                              if nu != mu}, op.mode)
+    want = []
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            a, b = family[i], family[j]
+            ref = reference_compose(a, b) - reference_compose(b, a)
+            assert a.commutator(b).to_json() == ref.to_json()
+            if not ref.is_zero:
+                want.append({"pair": (i + 1, j + 1), "ok": False,
+                             "residual": ref.to_json()})
+    assert want
+    monkeypatch.setattr(engine, "toda_family", lambda n, affine: family)
+    check, = cli.suite_commute(4, affine).checks
+    assert check["status"] == "fail"
+    assert check["residual"] == want
 
 
 def test_compose_shift_past_coefficient():
