@@ -1,4 +1,5 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion and prints exactly its
+pinned output in tests/golden/demos/."""
 
 import glob
 import os
@@ -10,10 +11,14 @@ import pytest
 
 ROOT = osp.dirname(osp.dirname(osp.abspath(__file__)))
 DEMOS = sorted(glob.glob(osp.join(ROOT, "demos", "*.py")))
+GOLDEN_DEMOS = osp.join(ROOT, "tests", "golden", "demos")
 
 
 def test_demos_found():
     assert DEMOS
+    pinned = sorted(glob.glob(osp.join(GOLDEN_DEMOS, "*.txt")))
+    assert [osp.splitext(osp.basename(p))[0] for p in pinned] == \
+        [osp.splitext(osp.basename(d))[0] for d in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=osp.basename)
@@ -22,4 +27,6 @@ def test_demo_runs(demo):
     res = subprocess.run([sys.executable, demo], env=env, cwd=ROOT,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout
+    name = osp.splitext(osp.basename(demo))[0] + ".txt"
+    with open(osp.join(GOLDEN_DEMOS, name)) as fh:
+        assert res.stdout == fh.read()
