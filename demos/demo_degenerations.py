@@ -46,6 +46,7 @@ print("   surviving (root, rate) pairs:",
 
 print()
 print("3. Drift limit of the symmetric-function operator for sl(3):")
-print("   before:", macdonald_operator(3).text())
+# the parameter t rides in the K slot; the operator has no genuine K
+print("   before:", macdonald_operator(3).text().replace("K^", "tk^"))
 print()
 print("   after :", macdonald_toda_limit(3).text())

@@ -15,6 +15,9 @@ Three families of checks live here:
     conjugation by a product of one-step factors, run under both shift
     direction conventions, together with the parameter matchings onto the
     transcriptions (fractional K powers are scoped to that one check).
+
+None of the Macdonald or relativistic objects contains the affine coupling
+K, so their scalars carry the extra symbol, t or g^2, in the K slot.
 """
 
 from __future__ import annotations
@@ -25,19 +28,13 @@ from .torus import (
     dot,
 )
 from .diffop import (
-    GL, SL_QUOTIENT, DiffOp, UnresolvedFactorError,
+    GL, ROOT_WEIGHT, SL_QUOTIENT, DiffOp, UnresolvedFactorError,
     conjugate_by_factor_product,
 )
-
-Q = LaurentQK.q
 
 
 class DegenerationError(ArithmeticError):
     pass
-
-
-def _c2():
-    return (Q(1) - Q(-1)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +43,10 @@ def _c2():
 
 def macdonald_operator(n):
     """sum_i prod_(j != i) (t e^(w_i) - e^(w_j))/(e^(w_i) - e^(w_j)) T_i^2
-    with the symbolic parameter t = q^(2k) kept as its own generator."""
+    with the symbolic parameter t = q^(2k) carried in the K slot."""
     if n < 2:
         raise DegenerationError("need N >= 2")
-    t = LaurentQK.tk(1)
+    t = LaurentQK.k(1)
     op = DiffOp.zero(n, GL)
     for i in range(1, n + 1):
         coeff = TorusRat.one(n)
@@ -125,11 +122,11 @@ def _substitute_drift(n, rat, extra_degree):
         out = {}
         for lam, c in poly.terms.items():
             wdeg = _index_weight(lam)
-            # the t power of each scalar term joins the u degree
+            # the t power (K slot) of each scalar term joins the u degree
             add_terms(out, (
-                (key[3] + wdeg, TorusPoly.monomial(
-                    n, lam, LaurentQK({key[:3] + (0,): frac})))
-                for key, frac in c.terms.items()))
+                (tk + wdeg, TorusPoly.monomial(
+                    n, lam, LaurentQK.monomial(frac, q2=q2)))
+                for (q2, tk), frac in c.terms.items()))
         return out
 
     num = convert(rat.num)
@@ -215,7 +212,7 @@ def toda_z_form(n, affine=True):
         mu = [0] * n
         mu[i - 1] += 1
         mu[i % n] += 1
-        scal = -_c2() * (LaurentQK.k(1) if (affine and i == n) else 1)
+        scal = ROOT_WEIGHT * (LaurentQK.k(1) if (affine and i == n) else 1)
         op = op + DiffOp(n, {tuple(mu): TorusRat.monomial(
             n, cyclic_root(n, i), scal)}, SL_QUOTIENT)
     return op
@@ -231,16 +228,16 @@ def toda_simplified_form(n, affine=True):
         mu[i - 1] = 2
         coeff = TorusPoly.one(n)
         if i <= top:
-            scal = -_c2() * (LaurentQK.k(1) if (affine and i == n) else 1)
+            scal = ROOT_WEIGHT * (LaurentQK.k(1) if affine and i == n else 1)
             coeff = coeff + TorusPoly.monomial(n, cyclic_root(n, i), scal)
         op = op + DiffOp(n, {tuple(mu): TorusRat(coeff)}, SL_QUOTIENT)
     return op
 
 
 def relativistic_resolved_form(n, periodic, q_offset=0, tau_direction=1):
-    """sum_i (1 + g^2 q^(q_offset) e^(z_i - z_(i+1))) T_i^2 with the g^2
-    slot symbolic; the nonperiodic variant drops the i = N exponential.
-    ``tau_direction`` fixes the sign of the shifts."""
+    """sum_i (1 + g^2 q^(q_offset) e^(z_i - z_(i+1))) T_i^2 with g^2
+    symbolic in the K slot; the nonperiodic variant drops the i = N
+    exponential.  ``tau_direction`` fixes the sign of the shifts."""
     op = DiffOp.zero(n, SL_QUOTIENT)
     top = n if periodic else n - 1
     for i in range(1, n + 1):
@@ -249,20 +246,19 @@ def relativistic_resolved_form(n, periodic, q_offset=0, tau_direction=1):
         coeff = TorusPoly.one(n)
         if i <= top:
             coeff = coeff + TorusPoly.monomial(
-                n, cyclic_root(n, i), LaurentQK.g2(1) * Q(q_offset))
+                n, cyclic_root(n, i),
+                LaurentQK.monomial(1, q2=2 * q_offset, k=1))
         op = op + DiffOp(n, {tuple(mu): TorusRat(coeff)}, SL_QUOTIENT)
     return op
 
 
 def substitute_g2(op, value):
-    """Replace the symbolic g^2 slot by a core scalar value."""
+    """Replace g^2, carried in the K slot, by a scalar value."""
 
     def sub(c):
         out = LaurentQK.zero()
-        for key, frac in c.terms.items():
-            e = key[2]
-            stripped = LaurentQK({(key[0], key[1], 0, key[3]): frac})
-            out = out + stripped * value ** e
+        for (q2, e), frac in c.terms.items():
+            out = out + LaurentQK.monomial(frac, q2=q2) * value ** e
         return out
 
     return op.scalar_map(sub)
@@ -390,24 +386,22 @@ def _uniform_offset(op, n, periodic, direction):
         c = rest[cyclic_root(n, i)]
         if len(c.terms) != 1:
             return None
-        (key2, frac), = c.terms.items()
-        if frac != 1 or key2[2] != 1 or key2[1] or key2[3] or key2[0] % 2:
+        ((q2, g2), frac), = c.terms.items()
+        if frac != 1 or g2 != 1 or q2 % 2:
             return None
-        offsets.add(key2[0] // 2)
+        offsets.add(q2 // 2)
     return offsets.pop() if len(offsets) == 1 else None
 
 
 def rescale_g(op, delta):
-    """The coupling rescaling g -> g q^(delta/2): every g^2 power picks up
-    one factor q^(delta).  Removing a uniform offset c from coefficients
-    (1 + g^2 q^c e^a) therefore uses delta = -c."""
+    """The coupling rescaling g -> g q^(delta/2): every power of g^2, carried
+    in the K slot, picks up one factor q^(delta).  Removing a uniform
+    offset c from coefficients (1 + g^2 q^c e^a) therefore uses
+    delta = -c."""
 
     def sub(c):
-        out = LaurentQK.zero()
-        for key, frac in c.terms.items():
-            out = out + LaurentQK(
-                {(key[0] + 2 * delta * key[2],) + key[1:]: frac})
-        return out
+        return LaurentQK({(q2 + 2 * delta * e, e): frac
+                          for (q2, e), frac in c.terms.items()})
 
     return op.scalar_map(sub)
 
@@ -423,8 +417,8 @@ def periodic_matching_exponent(n):
     """
 
     def k_to_root(c):
-        return LaurentQK({(key[0], key[1] * n) + key[2:]: frac
-                          for key, frac in c.terms.items()})
+        return LaurentQK({(q2, b * n): frac
+                          for (q2, b), frac in c.terms.items()})
 
     target = toda_simplified_form(n, affine=True).scalar_map(k_to_root)
     target = rescale_root_exponentials(target, LaurentQK.k(1))
@@ -432,7 +426,7 @@ def periodic_matching_exponent(n):
     found = None
     for t in (1, 2):
         cand = substitute_g2(relativistic_resolved_form(n, True),
-                             -_c2() * LaurentQK.k(t))
+                             ROOT_WEIGHT * LaurentQK.k(t))
         ok = cand == target
         tried[t] = ok
         if ok and found is None:

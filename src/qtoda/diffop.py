@@ -189,7 +189,7 @@ class DiffOp:
             for mu, f in op.terms.items():
                 exact = exact or not f.is_polynomial()
                 for lam, c in f.num.terms.items():
-                    q2, k = max(c.terms)[:2]
+                    q2, k = max(c.terms)
                     if q2 < 0 or q2 % 4 or _weight(q2 // 4, k) != c.terms:
                         exact = True
                     points.append((mu + lam + (q2 // 4, k), lam))
@@ -381,7 +381,8 @@ def sect6_automorphism(op):
 # the square-root symbol f(x)^2 = 1 + g^2 e^x.  A coefficient is a dict
 # (form, offset) -> e standing for the product of the symbols
 # f(form . z + offset*hbar)^e; f(form . z + offset*hbar)^2 resolves to
-# 1 + g^2 q^offset e^(form . z).
+# 1 + g^2 q^offset e^(form . z).  The resolved operators never contain the
+# affine coupling K, so the scalar K slot carries g^2 there.
 
 def conjugate_by_factor_product(ham, forms):
     """Exact gauge conjugation P^(-1) A P by P = prod psi(form . z).
@@ -412,8 +413,9 @@ def conjugate_by_factor_product(ham, forms):
 
 
 def _resolve_symbols(n, syms):
-    """Substitute f(...)^2 = 1 + g^2 q^offset e^(form.z) in sorted symbol
-    order; error if any symbol is left with an odd exponent."""
+    """Substitute f(...)^2 = 1 + g^2 q^offset e^(form.z), g^2 in the K
+    slot, in sorted symbol order; error if any symbol is left with an odd
+    exponent."""
     out = TorusRat.one(n)
     for (form, off), e in sorted(syms.items()):
         if not e:
@@ -425,7 +427,7 @@ def _resolve_symbols(n, syms):
         sq = TorusRat(
             TorusPoly.one(n)
             + TorusPoly.monomial(
-                n, form, LaurentQK.g2(1) * LaurentQK.q_half(2 * off)))
+                n, form, LaurentQK.monomial(1, q2=2 * off, k=1)))
         if e < 0:
             sq = sq.inverse()
         for _ in range(abs(e) // 2):

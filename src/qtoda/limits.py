@@ -18,7 +18,7 @@ from math import factorial
 
 from .scalars import HbarJet, LaurentQK, jet_divide, jet_expand
 from .torus import TorusPoly, add_terms, cyclic_root
-from .diffop import SL_QUOTIENT
+from .diffop import ROOT_WEIGHT, SL_QUOTIENT
 from .qrep import weyl_vector
 
 
@@ -262,7 +262,7 @@ def quasiclassical_limit(op, dim_v):
         raise LimitError("constant term %s does not cancel the dimension"
                          % const.text())
     # (q - q^(-1))^2 = 4 hbar^2 + O(hbar^4); invert it divided by hbar^2
-    c2 = jet_expand((LaurentQK.q(1) - LaurentQK.q(-1)) ** 2, 3)
+    c2 = jet_expand(-ROOT_WEIGHT, 3)
     inv = jet_divide(HbarJet.constant(1, 1), HbarJet(1, c2.coeffs[2:])).coeffs
     residue = (jet.coeff(1) * inv[0]).sl_reduce()
     if not residue.is_zero:

@@ -2,17 +2,19 @@
 
 The scalar ring of the whole package.  A scalar is a finite sum of terms
 
-    c * q^(a/2) * K^b * (g^2)^e * (q^(2k))^f
+    c * q^(a/2) * K^b
 
-with rational c.  A coefficient is an ``int`` when integral (every
-constructor ensures this) and a ``fractions.Fraction`` otherwise, so the
-integral coefficients the engine produces never pay for ``Fraction``
-arithmetic.  Sums and products of ``Fraction`` coefficients may leave an
-integral ``Fraction``; it compares, hashes and serialises exactly like
-the ``int``.  The q exponent is stored doubled so that half-integer
-powers (which arise from conjugation by the Weyl-vector monomial) stay in
-integer arithmetic.  The auxiliary slots g2 and tk are only populated
-inside the relativistic and Macdonald checks; core outputs keep them zero.
+with rational c, stored under the exponent key (a, b).  A coefficient is
+an ``int`` when integral (every constructor ensures this) and a
+``fractions.Fraction`` otherwise, so the integral coefficients the engine
+produces never pay for ``Fraction`` arithmetic.  Sums and products of
+``Fraction`` coefficients may leave an integral ``Fraction``; it
+compares, hashes and serialises exactly like the ``int``.  The q exponent
+is stored doubled so that half-integer powers (which arise from
+conjugation by the Weyl-vector monomial) stay in integer arithmetic.  The
+degeneration checks that never involve the affine coupling let the K slot
+carry another symbol: the relativistic coupling g^2, or the
+symmetric-function parameter t = q^(2k).
 
 All values are immutable after construction and safe to share.
 """
@@ -21,10 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-#: exponent slots per term: doubled q exponent, K, g^2, q^(2k)
-SLOTS = ("q2", "K", "g2", "tk")
-_NS = len(SLOTS)
-_ZKEY = (0,) * _NS
+_ZKEY = (0, 0)   # exponent key of the constant term: (doubled q, K)
 
 
 class IllPosedLimitError(ArithmeticError):
@@ -53,9 +52,9 @@ class LaurentQK:
                 c = _as_fraction(c)
                 if c:
                     key = tuple(key)
-                    if len(key) != _NS:
+                    if len(key) != 2:
                         raise ValueError(
-                            "exponent key must have %d slots" % _NS)
+                            "exponent key must be a (q2, K) pair")
                     prev = clean.get(key)
                     if prev is None:
                         clean[key] = c
@@ -82,13 +81,13 @@ class LaurentQK:
         return LaurentQK({_ZKEY: _as_fraction(x)})
 
     @staticmethod
-    def monomial(coeff=1, q2=0, k=0, g2=0, tk=0):
-        return LaurentQK({(q2, k, g2, tk): _as_fraction(coeff)})
+    def monomial(coeff=1, q2=0, k=0):
+        return LaurentQK({(q2, k): _as_fraction(coeff)})
 
     @staticmethod
     def _wrap(terms):
-        """A scalar on a dict that is already clean: exponent keys of
-        length 4 and nonzero rational values; no copy, no checks."""
+        """A scalar on a dict that is already clean: (q2, K) exponent
+        keys and nonzero rational values; no copy, no checks."""
         out = LaurentQK.__new__(LaurentQK)
         out.terms = terms
         return out
@@ -106,14 +105,6 @@ class LaurentQK:
     @staticmethod
     def k(n=1):
         return LaurentQK.monomial(1, k=n)
-
-    @staticmethod
-    def g2(n=1):
-        return LaurentQK.monomial(1, g2=n)
-
-    @staticmethod
-    def tk(n=1):
-        return LaurentQK.monomial(1, tk=n)
 
     # -- ring structure ------------------------------------------------
 
@@ -154,8 +145,7 @@ class LaurentQK:
         terms = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2],
-                       k1[3] + k2[3])
+                key = (k1[0] + k2[0], k1[1] + k2[1])
                 s = terms.get(key, 0) + c1 * c2
                 if s:
                     terms[key] = s
@@ -222,8 +212,8 @@ class LaurentQK:
         """Inverse of a single-term scalar; error otherwise."""
         if len(self.terms) != 1:
             raise ZeroDivisionError("only monomial scalars are invertible")
-        (key, c), = self.terms.items()
-        return LaurentQK({tuple(-e for e in key): Fraction(1, c)})
+        ((q2, k), c), = self.terms.items()
+        return LaurentQK({(-q2, -k): Fraction(1, c)})
 
     def leading_unit(self):
         """The leading term (largest exponent key lexicographically) as an
@@ -234,8 +224,8 @@ class LaurentQK:
         return LaurentQK({key: self.terms[key]})
 
     def bar(self):
-        """The involution q -> q^-1 (other slots untouched)."""
-        return LaurentQK({(-k[0],) + k[1:]: c for k, c in self.terms.items()})
+        """The involution q -> q^-1 (K untouched)."""
+        return LaurentQK({(-q2, k): c for (q2, k), c in self.terms.items()})
 
     def rational_value(self):
         if not self.terms:
@@ -244,16 +234,11 @@ class LaurentQK:
             return Fraction(self.terms[_ZKEY])
         raise ValueError("scalar is not a plain rational: %s" % self)
 
-    def core_only(self):
-        """True if only the q and K slots are populated."""
-        return all(k[2] == k[3] == 0 for k in self.terms)
-
     def substitute_k(self, value):
         """Evaluate K at an exact rational value (K -> value)."""
         value = Fraction(value)
         terms = {}
-        for key, c in self.terms.items():
-            b = key[1]
+        for (q2, b), c in self.terms.items():
             if value == 0:
                 if b < 0:
                     raise ZeroDivisionError("negative K power at K=0")
@@ -262,7 +247,7 @@ class LaurentQK:
                 scaled = c
             else:
                 scaled = c * value ** b
-            nk = (key[0], 0) + key[2:]
+            nk = (q2, 0)
             s = terms.get(nk, 0) + scaled
             if s:
                 terms[nk] = s
@@ -283,15 +268,11 @@ class LaurentQK:
         for key in sorted(self.terms, reverse=True):
             c = self.terms[key]
             factors = []
-            q2, kk, g2, tk = key
+            q2, kk = key
             if q2:
                 factors.append("q^%s" % _half_str(q2))
             if kk:
                 factors.append("K^%d" % kk)
-            if g2:
-                factors.append("g2^%d" % g2)
-            if tk:
-                factors.append("tk^%d" % tk)
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -306,9 +287,7 @@ class LaurentQK:
         return out
 
     def to_json(self):
-        """Core JSON form: list of [q2, K, numerator, denominator]."""
-        if not self.core_only():
-            raise ValueError("auxiliary slots present; not a core scalar")
+        """JSON form: list of [q2, K, numerator, denominator]."""
         return [[k[0], k[1], c.numerator, c.denominator]
                 for k, c in sorted(self.terms.items())]
 
@@ -316,7 +295,7 @@ class LaurentQK:
     def from_json(data):
         terms = {}
         for q2, kk, num, den in data:
-            terms[(q2, kk, 0, 0)] = Fraction(num, den)
+            terms[(q2, kk)] = Fraction(num, den)
         return LaurentQK(terms)
 
 
@@ -362,7 +341,7 @@ def q_integer(a, d=1):
     m = abs(a)
     terms = {}
     for j in range(m):
-        terms[(2 * d * (m - 1 - 2 * j), 0, 0, 0)] = sign
+        terms[(2 * d * (m - 1 - 2 * j), 0)] = sign
     return LaurentQK(terms)
 
 
@@ -507,19 +486,17 @@ class HbarJet:
 
 def _check_qfree(c):
     for key in c.terms:
-        if key[0] != 0 or key[2] or key[3]:
+        if key[0] != 0:
             raise ValueError("jet coefficients must be K-Laurent only")
 
 
 def jet_expand(s, order):
-    """Expand a core scalar at q = e^hbar into a truncated hbar series.
+    """Expand a scalar at q = e^hbar into a truncated hbar series.
 
     K survives symbolically inside the coefficients.
     """
-    if not s.core_only():
-        raise ValueError("jet_expand needs a core (q, K) scalar")
     coeffs = [LaurentQK.zero() for _ in range(order + 1)]
-    for (q2, kk, _, _), c in s.terms.items():
+    for (q2, kk), c in s.terms.items():
         a = Fraction(q2, 2)
         power = Fraction(1)
         fact = 1

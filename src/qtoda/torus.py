@@ -327,6 +327,8 @@ class TorusRat:
     def __add__(self, other):
         other = self._coerce(other)
         if self.den == other.den:
+            if self.is_polynomial():
+                return TorusRat(self.num + other.num)
             return TorusRat(self.num + other.num, self.den)
         return TorusRat(self.num * other.den + other.num * self.den,
                         self.den * other.den)

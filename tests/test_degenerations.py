@@ -22,18 +22,10 @@ GOLDEN_REL = osp.join(osp.dirname(osp.abspath(__file__)), "golden",
                       "relativistic")
 
 
-def drop_tk(scalar):
-    """Evaluate the symmetric-function parameter t at 1."""
-    out = LaurentQK.zero()
-    for key, frac in scalar.terms.items():
-        out = out + LaurentQK({key[:3] + (0,): frac})
-    return out
-
-
 def test_macdonald_operator_smallest():
     n = 2
     op = macdonald_operator(n)
-    t = LaurentQK.tk(1)
+    t = LaurentQK.k(1)   # t rides in the K slot
     e1 = TorusPoly.monomial(n, (1, 0))
     e2 = TorusPoly.monomial(n, (0, 1))
     want = DiffOp(n, {
@@ -45,7 +37,7 @@ def test_macdonald_operator_smallest():
 
 def test_macdonald_operator_collapses_at_unit_parameter():
     for n in (2, 3):
-        op = macdonald_operator(n).scalar_map(drop_tk)
+        op = macdonald_operator(n).substitute_k(1)
         want = DiffOp.zero(n, GL)
         for i in range(n):
             mu = [0] * n
@@ -167,12 +159,13 @@ def test_relativistic_gauge_check(n, periodic):
 
 def gauge_record(n, periodic):
     """The gauge-check report as canonical JSON; the resolved operator
-    carries the g^2 slot, so it is pinned by its text form."""
+    carries g^2 in the K slot and contains no genuine K, so it is pinned by
+    its text form with K^ renamed g2^."""
     report = relativistic_gauge_check(n, periodic)
     record = {k: v for k, v in report.items() if k != "operator"}
     record["outcomes"] = {str(d): o for d, o in report["outcomes"].items()}
     if "operator" in report:
-        record["operator"] = report["operator"].text()
+        record["operator"] = report["operator"].text().replace("K^", "g2^")
     return canonical_json(record)
 
 

@@ -22,7 +22,7 @@ def small_scalars():
         st.fractions(min_value=-5, max_value=5, max_denominator=6),
     )
     return st.lists(term, max_size=4).map(
-        lambda ts: LaurentQK({(q2, k, 0, 0): c for q2, k, c in ts}))
+        lambda ts: LaurentQK({(q2, k): c for q2, k, c in ts}))
 
 
 # -- q-combinatorics ---------------------------------------------------------
@@ -106,6 +106,14 @@ def test_ring_axioms(a, b, c):
     assert a - a == ZERO
 
 
+@pytest.mark.parametrize("key", [(0,), (0, 0, 0), (0, 0, 0, 0)])
+def test_exponent_keys_are_pairs(key):
+    # (doubled q exponent, K exponent); any other length is refused
+    with pytest.raises(ValueError):
+        LaurentQK({key: 1})
+    assert LaurentQK({(1, -1): 2}) == LaurentQK.monomial(2, q2=1, k=-1)
+
+
 def test_monomial_inverse_and_units():
     m = LaurentQK.monomial(Fraction(3, 2), q2=3, k=-1)
     assert m * m.monomial_inverse() == ONE
@@ -135,7 +143,7 @@ def test_integral_coefficients_are_ints():
 def test_monomial_inverse_is_exact():
     inv = LaurentQK.monomial(2, q2=2, k=1).monomial_inverse()
     (key, c), = inv.terms.items()
-    assert key == (-2, -1, 0, 0)
+    assert key == (-2, -1)
     assert isinstance(c, Fraction) and c == Fraction(1, 2)
     (c,) = (-Q(1)).monomial_inverse().terms.values()
     assert type(c) is int and c == -1
@@ -157,7 +165,7 @@ def test_substitute_k():
     t = K(-1)
     with pytest.raises(ZeroDivisionError):
         t.substitute_k(0)
-    assert t.substitute_k(2).terms == {(0,) * 4: Fraction(1, 2)}
+    assert t.substitute_k(2).terms == {(0, 0): Fraction(1, 2)}
 
 
 def test_json_round_trip_and_text():
