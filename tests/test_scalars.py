@@ -111,7 +111,6 @@ def test_exponent_keys_are_pairs(key):
     # (doubled q exponent, K exponent); any other length is refused
     with pytest.raises(ValueError):
         LaurentQK({key: 1})
-    assert LaurentQK({(1, -1): 2}) == LaurentQK.monomial(2, q2=1, k=-1)
 
 
 def test_monomial_inverse_and_units():
