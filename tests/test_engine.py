@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os.path as osp
 
 import pytest
@@ -5,10 +7,11 @@ import pytest
 from qtoda.cli import canonical_json
 from qtoda.scalars import LaurentQK
 from qtoda.torus import TorusRat
-from qtoda.diffop import DiffOp, SL_QUOTIENT
+from qtoda.diffop import DiffOp, DiffOpError, SL_QUOTIENT
 from qtoda.qrep import (
-    DynkinData, Orientation, QRepError, fundamental_rep,
+    DynkinData, Orientation, QRepError, fundamental_rep, weyl_vector,
 )
+from qtoda import engine
 from qtoda.engine import (
     EngineConfig, build_toda_operator, expand_central_words,
     verify_commuting_family, whittaker_reduce, words_to_json,
@@ -16,8 +19,9 @@ from qtoda.engine import (
 
 import pbw_sl2
 
-GOLDEN_OPS = osp.join(osp.dirname(osp.abspath(__file__)), "golden",
-                      "operators")
+GOLDEN = osp.join(osp.dirname(osp.abspath(__file__)), "golden")
+GOLDEN_OPS = osp.join(GOLDEN, "operators")
+GOLDEN_RAW = osp.join(GOLDEN, "raw")
 
 Q = LaurentQK.q
 C2 = (Q(1) - Q(-1)) ** 2
@@ -62,6 +66,87 @@ def test_operator_goldens(n, k, affine):
     with open(osp.join(GOLDEN_OPS, name)) as fh:
         want = fh.read()
     assert canonical_json(build_toda_operator(n, k, affine).to_json()) == want
+
+
+@pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7)
+                                 for k in range(1, n)])
+def test_raw_operator_goldens(n, k, affine):
+    # the reduction before the Weyl-vector gauge and the quotient
+    name = "toda_n%d_k%d_%s.json" % (n, k, "affine" if affine else "finite")
+    with open(osp.join(GOLDEN_RAW, name)) as fh:
+        want = fh.read()
+    op = build_toda_operator(n, k, affine, gauge=False, quotient=False)
+    assert canonical_json(op.to_json()) == want
+
+
+def test_trace_word_digests():
+    # every trace word, its coefficient and its position in the list: a
+    # reordered or dropped word changes the digest
+    with open(osp.join(GOLDEN_RAW, "words_sha256.json")) as fh:
+        want = json.load(fh)
+    got = {}
+    for n in range(2, 6):
+        for k in range(1, n):
+            for affine in (False, True):
+                cfg = EngineConfig(n=n, k=k, affine=affine)
+                words = expand_central_words(
+                    fundamental_rep(n, k, affine), cfg)
+                text = canonical_json(words_to_json(words))
+                got["n%d_k%d_%s" % (n, k, "affine" if affine else "finite")] \
+                    = hashlib.sha256(text.encode()).hexdigest()
+    assert got == want
+
+
+def three_pass_oracle(n, k, affine, gauge=True, quotient=True):
+    """The reduction, then the Weyl-vector gauge and the quotient as
+    separate passes over the whole operator."""
+    cfg = EngineConfig(n=n, k=k, affine=affine)
+    op = whittaker_reduce(
+        expand_central_words(fundamental_rep(n, k, affine), cfg), cfg)
+    if gauge:
+        op = op.gauge_monomial(weyl_vector(n))
+    if quotient:
+        op = op.quotient_reduce()
+    return op
+
+
+@pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_build_matches_three_pass_oracle(n, affine):
+    for k in range(1, n):
+        want = three_pass_oracle(n, k, affine)
+        got = build_toda_operator(n, k, affine)
+        assert canonical_json(got.to_json()) == \
+            canonical_json(want.to_json())
+
+
+@pytest.mark.parametrize("gauge,quotient", [(True, False), (False, True)])
+@pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
+def test_half_pipelines_match_three_pass_oracle(gauge, quotient, affine):
+    for n in range(2, 6):
+        for k in range(1, n):
+            want = three_pass_oracle(n, k, affine, gauge, quotient)
+            got = build_toda_operator(n, k, affine, gauge=gauge,
+                                      quotient=quotient)
+            assert got.mode == want.mode
+            assert canonical_json(got.to_json()) == \
+                canonical_json(want.to_json())
+
+
+def test_quotient_rejects_non_zero_sum_coefficients(monkeypatch):
+    # a root sum off the zero-sum lattice must not reach the quotient
+    root_sum = engine._root_sum
+
+    def skewed(dynkin, nodes):
+        total = root_sum(dynkin, nodes)
+        return (total[0] + 1,) + total[1:]
+
+    monkeypatch.setattr(engine, "_root_sum", skewed)
+    for gauge in (True, False):
+        with pytest.raises(DiffOpError):
+            build_toda_operator(3, 1, gauge=gauge, quotient=True)
+    build_toda_operator(3, 1, quotient=False)
 
 
 def test_exterior_square_sl3_hand_value():
@@ -190,22 +275,37 @@ def test_reduce_of_empty_word_list_is_zero():
     assert whittaker_reduce([], cfg).is_zero
 
 
+def custom_beta(n, affine):
+    # a distinct q and K monomial for every node
+    return {i: LaurentQK.monomial(-(i + 2), q2=2 * i + 1, k=i + 1)
+            for i in range(0 if affine else 1, n)}
+
+
 def test_symbolic_beta_grading():
-    n, k = 4, 2
-    cfg = EngineConfig(n=n, k=k, affine=True)
-    words = expand_central_words(fundamental_rep(n, k, affine=True), cfg)
-    graded = whittaker_reduce(words, cfg, symbolic_beta=True)
     # grading keys are the matched letter sets; substituting the character
-    # normalization reproduces the plain reduction
-    assert () in graded
-    total = DiffOp.zero(n)
-    for key, part in graded.items():
-        beta = LaurentQK.one()
-        for i in key:
-            beta = beta * cfg.beta[i]
-        total = total + part * beta
-    assert total == whittaker_reduce(words, cfg)
-    assert any(len(key) == 2 for key in graded)
+    # normalization reproduces the plain reduction, for the default
+    # normalization and for a distinct q and K monomial at every node
+    n, k = 4, 2
+    for affine in (False, True):
+        nodes = range(0 if affine else 1, n)
+        custom = {i: LaurentQK.monomial(-(i + 2), q2=2 * i + 1, k=i + 1)
+                  for i in nodes}
+        plain = {}
+        for beta in ({}, custom):
+            cfg = EngineConfig(n=n, k=k, affine=affine, beta=dict(beta))
+            words = expand_central_words(fundamental_rep(n, k, affine), cfg)
+            graded = whittaker_reduce(words, cfg, symbolic_beta=True)
+            assert () in graded
+            assert any(len(key) == 2 for key in graded)
+            total = DiffOp.zero(n)
+            for key, part in graded.items():
+                prod = LaurentQK.one()
+                for i in key:
+                    prod = prod * cfg.beta[i]
+                total = total + part * prod
+            plain[bool(beta)] = whittaker_reduce(words, cfg)
+            assert total == plain[bool(beta)]
+        assert plain[True] != plain[False]
 
 
 def test_orientation_extension_independence():
