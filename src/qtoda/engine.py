@@ -22,7 +22,15 @@ of node 0.  Words are then reduced to difference-operator terms:
     the number of node-0 letters on each side.
 
 Conjugating by the Weyl-vector monomial and passing to the
-simultaneous-shift quotient gives the commuting family.
+simultaneous-shift quotient gives the commuting family.  Both are folded
+into the reduction: the gauge multiplies T_(front+back) by
+q^(-rho . (front + back)), so a word's power of q from the rho diagonal
+and the gauge together is q^(rho . (back - front)), one integer doubled
+exponent; the quotient files the word under the canonical representative
+of its shift.  A word then costs one scalar product, its coefficient
+times a factor (normal-ordering power, character values, that q power)
+computed once per distinct letters and exponent; in a gauged build the
+exponent is 2 rho . (sum of the raising roots), fixed by the letters.
 """
 
 from __future__ import annotations
@@ -30,11 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalars import LaurentQK
-from .torus import TorusPoly, add_terms, cyclic_root, dot, vadd
-from .diffop import GL, DiffOp
+from .torus import (
+    TorusPoly, add_terms, com_quotient_canonicalize, cyclic_root, dot, vadd,
+)
+from .diffop import GL, SL_QUOTIENT, DiffOp, DiffOpError
 from .qrep import (
     Orientation, QRepError, build_orientation, fundamental_rep,
-    qp_normal_order, rho_pairing2, weyl_vector,
+    qp_normal_order, rho_pairing2,
 )
 
 
@@ -124,12 +134,19 @@ def expand_central_words(rep, cfg):
     the evaluation parameter), and the front kernel crossing contributes
     the critical-level factor q^(N * n0) for each node-0 raising letter
     already applied.
+
+    The lowering block is threaded once per middle state, its paths kept
+    by end state; a word's coefficient c^L q^(e/2) is built once per
+    (letter count L, doubled exponent e).
     """
     n = rep.n
     order = cfg.orientation.order
     c = LaurentQK.q(1) - LaurentQK.q(-1)
     e_z = {i: -rep.z_degree[i] for i in rep.nodes}   # raising block moves
     f_z = {i: rep.z_degree[i] for i in rep.nodes}    # lowering block moves
+    lowering = {}   # mid -> end -> [(lowering letters, z degree)]
+    roots = {}      # lowering letters -> sum of their roots
+    coeffs = {}     # (letter count, doubled q exponent) -> coefficient
     words = []
     for start in rep.basis:
         post = rep.weight(start)
@@ -137,24 +154,28 @@ def expand_central_words(rep, cfg):
         for mid, e_nodes, z_e in _block_paths(
                 rep, order, rep.f_action, e_z, start):
             pre = rep.weight(mid)
-            level = LaurentQK.q_half(-2 * n * z_e) if cfg.affine \
-                else LaurentQK.one()
-            # lowering block: module actions are the raising maps e_i
-            for end, f_nodes, z_f in _block_paths(
-                    rep, order, rep.e_action, f_z, mid):
-                if end != start:
-                    continue
+            level = -2 * n * z_e if cfg.affine else 0
+            paths = lowering.get(mid)
+            if paths is None:
+                # lowering block: module actions are the raising maps e_i
+                paths = lowering[mid] = {}
+                for end, f_nodes, z_f in _block_paths(
+                        rep, order, rep.e_action, f_z, mid):
+                    paths.setdefault(end, []).append((f_nodes, z_f))
+            for f_nodes, z_f in paths.get(start, ()):
                 if cfg.affine and z_e + z_f != 0:
                     continue
-                nletters = len(e_nodes) + len(f_nodes)
-                coeff = c ** nletters * level
                 # normalize to the Cartan-prefix form: moving the front
                 # kernel factor left past the lowering letters collects
                 # q^(pre . sum of lowering roots)
-                roots = _root_sum(cfg.dynkin, f_nodes)
-                p = dot(pre, roots)
-                if p:
-                    coeff = coeff * LaurentQK.q(p)
+                lam = roots.get(f_nodes)
+                if lam is None:
+                    lam = roots[f_nodes] = _root_sum(cfg.dynkin, f_nodes)
+                key = (len(e_nodes) + len(f_nodes), level + 2 * dot(pre, lam))
+                coeff = coeffs.get(key)
+                if coeff is None:
+                    coeff = coeffs[key] = c ** key[0] * LaurentQK.q_half(
+                        key[1])
                 words.append(NCWord(coeff=coeff, pre=pre, f_nodes=f_nodes,
                                     e_nodes=e_nodes, post=post,
                                     z_degree=z_e + z_f))
@@ -172,48 +193,79 @@ def _root_sum(dynkin, nodes):
 # Reduction
 # ---------------------------------------------------------------------------
 
-def whittaker_reduce(words, cfg, symbolic_beta=False):
+def _letter_data(w, cfg, symbolic_beta, quotient):
+    """(part key, root-sum exponent, scalar) of a word's letters: the
+    normal-ordering q power, times the product of the character values
+    beta_i unless they stay symbolic."""
+    scal_e, sorted_e = qp_normal_order(w.e_nodes, cfg.orientation,
+                                       side="left")
+    # lowering word: plain-algebra element x_{k1}...x_{kn}, sorted
+    # descending to pair with the ascending raising word
+    scal_f, sorted_f = qp_normal_order(w.f_nodes, cfg.orientation,
+                                       side="left", descending=True)
+    letters = tuple(sorted(sorted_e))
+    if letters != tuple(sorted(sorted_f)):
+        raise EngineInvariantError("letter multisets differ in %r" % (w,))
+    lam = _root_sum(cfg.dynkin, w.f_nodes)
+    if quotient and sum(lam):
+        raise DiffOpError(
+            "exponent %s is not a function on the sl torus" % (lam,))
+    scalar = scal_e * scal_f
+    if symbolic_beta:
+        return letters, lam, scalar
+    for i in sorted_e:
+        scalar = scalar * cfg.beta[i]
+    return None, lam, scalar
+
+
+def whittaker_reduce(words, cfg, symbolic_beta=False, gauge=False,
+                     quotient=False):
     """Map trace words to a difference operator.
 
     With symbolic_beta=True the character values are left unevaluated and
     the result is a dict mapping each matched letter set to its operator
     part, exhibiting the commutative-subalgebra structure.
 
-    Every word adds one scalar at (shift, root-sum exponent); each part
-    becomes one operator at the end.
+    Every word adds one scalar at (shift, root-sum exponent): its
+    coefficient times a factor fixed by its letters and one q power.  The
+    back weight contributes q^(2 rho . post).  gauge=True conjugates by
+    e^(rho . z), which multiplies the coefficient of T_(pre + post) by
+    q^(-rho . (pre + post)); the word's power is then q^(rho . (post -
+    pre)), an integer doubled exponent either way.  quotient=True files
+    each word under the canonical simultaneous-shift representative of
+    its shift and builds sl-quotient operators, whose coefficients must
+    have zero-sum exponents.  Each part becomes one operator at the end.
     """
     n = cfg.n
-    parts = {}   # letter set (None when evaluated) -> shift -> exp -> scalar
+    mode = SL_QUOTIENT if quotient else GL
+    rho2 = {}      # weight -> 2 rho . weight
+    factors = {}   # (raising, lowering letters, doubled q exponent)
+    #                -> (part key, root-sum exponent, scalar)
+    parts = {}     # letter set (None when evaluated) -> shift -> exp -> scalar
     for w in words:
         if w.z_degree != 0:
             raise EngineInvariantError(
                 "nonzero loop degree survived: %r" % (w,))
-        scal_e, sorted_e = qp_normal_order(w.e_nodes, cfg.orientation,
-                                           side="left")
-        # lowering word: plain-algebra element x_{k1}...x_{kn}, sorted
-        # descending to pair with the ascending raising word
-        scal_f, sorted_f = qp_normal_order(w.f_nodes, cfg.orientation,
-                                           side="left", descending=True)
-        if tuple(sorted(sorted_e)) != tuple(sorted(sorted_f)):
-            raise EngineInvariantError(
-                "letter multisets differ in %r" % (w,))
-        scalar = (w.coeff * scal_e * scal_f
-                  * LaurentQK.q_half(2 * rho_pairing2(n, w.post)))
-        if symbolic_beta:
-            key = tuple(sorted(sorted_e))
-        else:
-            key = None
-            beta = LaurentQK.one()
-            for i in sorted_e:
-                beta = beta * cfg.beta[i]
-            scalar = scalar * beta
+        pre, post = w.pre, w.post
+        for v in (pre, post):
+            if v not in rho2:
+                rho2[v] = rho_pairing2(n, v)
+        x = rho2[post] - rho2[pre] if gauge else 2 * rho2[post]
+        data = factors.get((w.e_nodes, w.f_nodes, x))
+        if data is None:
+            key, lam, scalar = _letter_data(w, cfg, symbolic_beta, quotient)
+            data = factors[w.e_nodes, w.f_nodes, x] = \
+                key, lam, scalar * LaurentQK.q_half(x)
+        key, lam, factor = data
+        mu = vadd(pre, post)
+        if quotient:
+            mu = com_quotient_canonicalize(mu)
         shifts = parts.setdefault(key, {})
-        add_terms(shifts.setdefault(vadd(w.pre, w.post), {}),
-                  ((_root_sum(cfg.dynkin, w.f_nodes), scalar),))
-    ops = {key: DiffOp(n, {mu: TorusPoly(n, poly)
-                           for mu, poly in shifts.items()}, GL)
+        add_terms(shifts.setdefault(mu, {}), ((lam, w.coeff * factor),))
+    ops = {key: DiffOp(n, {mu: TorusPoly._wrap(n, poly)
+                           for mu, poly in shifts.items()}, mode)
            for key, shifts in parts.items()}
-    return ops if symbolic_beta else ops.get(None, DiffOp.zero(n, GL))
+    return ops if symbolic_beta else ops.get(None, DiffOp.zero(n, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +274,15 @@ def whittaker_reduce(words, cfg, symbolic_beta=False):
 
 def build_toda_operator(n, k, affine=False, orientation=None,
                         gauge=True, quotient=True):
-    """Full pipeline: representation data, trace expansion, reduction,
-    Weyl-vector conjugation, simultaneous-shift quotient."""
+    """Full pipeline: representation data, trace expansion, reduction with
+    the Weyl-vector conjugation and the simultaneous-shift quotient folded
+    into each word."""
     if n < 2 or not 1 <= k <= n - 1:
         raise QRepError("invalid rank/exterior power (N=%s, k=%s)" % (n, k))
     cfg = EngineConfig(n=n, k=k, affine=affine, orientation=orientation)
     rep = fundamental_rep(n, k, affine)
-    words = expand_central_words(rep, cfg)
-    op = whittaker_reduce(words, cfg)
-    if gauge:
-        op = op.gauge_monomial(weyl_vector(n))
-    if quotient:
-        op = op.quotient_reduce()
-    return op
+    return whittaker_reduce(expand_central_words(rep, cfg), cfg,
+                            gauge=gauge, quotient=quotient)
 
 
 def toda_family(n, affine=False, orientation=None):

@@ -226,10 +226,11 @@ class RepData:
     e_action[i] maps a basis subset to the subset it is sent to (raising),
     f_action[i] the reverse; all matrix entries are 1.  z_degree[i] is the
     loop-parameter degree carried by node i (nonzero only for node 0).
+    weights[s] is the weight of the basis subset s, its indicator vector.
     """
 
     __slots__ = ("n", "k", "affine", "basis", "e_action", "f_action",
-                 "z_degree", "nodes")
+                 "z_degree", "nodes", "weights")
 
     def __init__(self, n, k, affine=False):
         if not 1 <= k <= n - 1:
@@ -240,6 +241,8 @@ class RepData:
         self.basis = tuple(
             frozenset(s) for s in itertools.combinations(range(1, n + 1), k))
         self.nodes = tuple(range(0 if affine else 1, n))
+        self.weights = {s: tuple(1 if j in s else 0 for j in range(1, n + 1))
+                        for s in self.basis}
         self.e_action = {}
         self.f_action = {}
         self.z_degree = {}
@@ -263,7 +266,7 @@ class RepData:
         return len(self.basis)
 
     def weight(self, s):
-        return tuple(1 if j in s else 0 for j in range(1, self.n + 1))
+        return self.weights[s]
 
     def weight_q2(self, s):
         """Doubled pairing 2*(rho . wt(S)) for the diagonal factor."""
