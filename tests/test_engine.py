@@ -275,21 +275,14 @@ def test_reduce_of_empty_word_list_is_zero():
     assert whittaker_reduce([], cfg).is_zero
 
 
-def custom_beta(n, affine):
-    # a distinct q and K monomial for every node
-    return {i: LaurentQK.monomial(-(i + 2), q2=2 * i + 1, k=i + 1)
-            for i in range(0 if affine else 1, n)}
-
-
 def test_symbolic_beta_grading():
     # grading keys are the matched letter sets; substituting the character
     # normalization reproduces the plain reduction, for the default
     # normalization and for a distinct q and K monomial at every node
     n, k = 4, 2
     for affine in (False, True):
-        nodes = range(0 if affine else 1, n)
         custom = {i: LaurentQK.monomial(-(i + 2), q2=2 * i + 1, k=i + 1)
-                  for i in nodes}
+                  for i in range(0 if affine else 1, n)}
         plain = {}
         for beta in ({}, custom):
             cfg = EngineConfig(n=n, k=k, affine=affine, beta=dict(beta))
