@@ -4,15 +4,16 @@ import pytest
 
 from qtoda.cli import canonical_json
 from qtoda.scalars import LaurentQK
-from qtoda.torus import TorusPoly, TorusRat
+from qtoda.torus import TorusPoly, TorusRat, com_quotient_canonicalize
 from qtoda.diffop import DiffOp, GL, SL_QUOTIENT, sect6_automorphism
 from qtoda.engine import build_toda_operator
+from qtoda import degenerations
 from qtoda.degenerations import (
     DegenerationError, RationalInU, macdonald_limit_closed_form,
     macdonald_operator, macdonald_toda_limit, periodic_matching_exponent,
     relativistic_catalog, relativistic_gauge_check,
     relativistic_resolved_form, rescale_g, rescale_root_exponentials,
-    substitute_g2, toda_simplified_form, toda_z_form,
+    substitute_g2, toda_simplified_form, toda_z_form, _uniform_offset,
 )
 
 Q = LaurentQK.q
@@ -94,6 +95,26 @@ def test_rational_in_u_limit_rules():
         RationalInU(n, {3: one}, {2: one}).limit()
 
 
+def test_macdonald_limit_rules_on_hand_coefficients(monkeypatch):
+    # e^(w_j) -> u^j e^(z_j) and t -> u; the T_i^2 numerator degree drops
+    # by i - 1.  T_1^2: (t e1 - e2)/(e1 - e2) has u-degree 2 over 2 (tie);
+    # T_2^2: e1/(e2 - e1) has 1 - 1 over 2 (lower, no term).
+    n = 2
+    t = LaurentQK.k(1)
+    e1 = TorusPoly.monomial(n, (1, 0))
+    e2 = TorusPoly.monomial(n, (0, 1))
+    hand = DiffOp(n, {(2, 0): TorusRat(e1 * t - e2, e1 - e2),
+                      (0, 2): TorusRat(e1, e2 - e1)}, GL)
+    monkeypatch.setattr(degenerations, "macdonald_operator", lambda n: hand)
+    want = DiffOp(n, {(2, 0): TorusRat(e1 - e2, -e2)}, SL_QUOTIENT)
+    assert macdonald_toda_limit(n) == want
+    # T_1^2: t e2 / e1 has u-degree 1 + 2 - 1 = 2 over 0 (higher)
+    hand = DiffOp(n, {(2, 0): TorusRat(e2 * t, e1)}, GL)
+    with pytest.raises(DegenerationError,
+                       match="divergent coefficient: u-degree 2 over 0"):
+        macdonald_toda_limit(n)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_macdonald_limit_shift_consistency(n):
     # after the variable shift z_j -> z_j + j*c with e^(-c) = (q-q^(-1))^2
@@ -155,6 +176,38 @@ def test_relativistic_gauge_check(n, periodic):
     fixed = rescale_g(report["operator"], -report["offset"])
     assert fixed == relativistic_resolved_form(n, periodic, 0,
                                                report["direction"])
+
+
+@pytest.mark.parametrize("periodic", [True, False],
+                         ids=["periodic", "nonperiodic"])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_uniform_offset(n, direction, periodic):
+    for c in (-2, 0, 1):
+        op = relativistic_resolved_form(n, periodic, c, direction)
+        assert _uniform_offset(op, n, periodic, direction) == c
+    op = relativistic_resolved_form(n, periodic, 0, direction)
+    alpha1 = (1, -1) + (0,) * (n - 2)
+
+    def first(scalar):
+        return TorusRat(TorusPoly.one(n) + TorusPoly.monomial(n, alpha1,
+                                                              scalar))
+
+    bad = {
+        # the e^(alpha_1) term is missing
+        "missing": TorusRat.one(n),
+        # 2 g^2 instead of g^2
+        "doubled": first(LaurentQK.monomial(2, k=1)),
+    }
+    if periodic or n > 2:
+        # e^(alpha_1) at offset 1, the other exponentials at 0
+        bad["mixed"] = first(LaurentQK.monomial(1, q2=2, k=1))
+    key = com_quotient_canonicalize((2 * direction,) + (0,) * (n - 1))
+    for name, coeff in bad.items():
+        terms = dict(op.terms)
+        terms[key] = coeff
+        changed = DiffOp(n, terms, SL_QUOTIENT)
+        assert _uniform_offset(changed, n, periodic, direction) is None, name
 
 
 def gauge_record(n, periodic):
