@@ -5,16 +5,22 @@ Three families of checks live here:
   * the symmetric-function difference operator with coefficients
     prod_(j!=i) (t e^(w_i) - e^(w_j)) / (e^(w_i) - e^(w_j)), its
     monomial conjugation, the drift substitution w_i = z_i + 2 hbar i P,
-    and the exact P -> infinity limit recovering the q-Toda form;
+    and the exact P -> infinity limit recovering the q-Toda form.  With
+    u = e^(2 hbar P) = t the limit only needs the top u-degree parts of
+    each coefficient's numerator and denominator;
 
   * exact transcriptions of the first-operator forms in shift-invariant
     coordinates, their image under the generator automorphism, and the
-    K = 0 degenerations;
+    K = 0 degenerations.  The drift limit, the simplified forms and the
+    resolved relativistic form all have the single-shift shape
+    sum_i (1 + s_i e^(z_i - z_(i+1))) T_i^(+-2) and share one builder;
 
   * the square-root-coefficient relativistic Hamiltonian and its gauge
     conjugation by a product of one-step factors, run under both shift
     direction conventions, together with the parameter matchings onto the
     transcriptions (fractional K powers are scoped to that one check).
+    A direction resolves only if its operator equals the resolved form at
+    one offset, compared whole.
 
 None of the Macdonald or relativistic objects contains the affine coupling
 K, so their scalars carry the extra symbol, t or g^2, in the K slot.
@@ -68,105 +74,53 @@ def macdonald_operator(n):
     return op
 
 
-class RationalInU:
-    """A quotient of polynomials in the drift variable u = e^(2 hbar P),
-    with torus-polynomial coefficients.  Supports exact products and the
-    term-by-term u -> infinity limit by top-degree comparison."""
-
-    __slots__ = ("n", "num", "den")
-
-    def __init__(self, n, num, den):
-        self.n = n
-        self.num = {d: p for d, p in num.items() if not p.is_zero}
-        self.den = {d: p for d, p in den.items() if not p.is_zero}
-        if not self.den:
-            raise ZeroDivisionError("zero denominator in the drift variable")
-
-    @staticmethod
-    def monomial(n, degree, poly):
-        return RationalInU(n, {degree: poly}, {0: TorusPoly.one(n)})
-
-    def __mul__(self, other):
-        return RationalInU(self.n, _umul(self.num, other.num),
-                           _umul(self.den, other.den))
-
-    def limit(self):
-        """The u -> infinity value: zero if the numerator degree is lower,
-        the ratio of leading coefficients on a tie, an error if higher."""
-        dn = max(self.num, default=None)
-        dd = max(self.den)
-        if dn is None or dn < dd:
-            return TorusRat.zero(self.n)
-        if dn > dd:
-            raise DegenerationError(
-                "divergent coefficient: u-degree %d over %d" % (dn, dd))
-        return TorusRat(self.num[dn], self.den[dd])
-
-
-def _umul(a, b):
-    return add_terms({}, ((da + db, pa * pb)
-                          for da, pa in a.items() for db, pb in b.items()))
-
-
 def _index_weight(lam):
     """sum_j j * lam_j: the weight of e^(lam . z) under z_j -> z_j + j*c."""
     return sum(j * x for j, x in enumerate(lam, start=1))
 
 
-def _substitute_drift(n, rat, extra_degree):
-    """Turn a w-coordinate coefficient into a RationalInU in z coordinates
-    via e^(w_j) -> u^j e^(z_j) and t -> u, then shift the numerator degree
-    by the conjugation prefactor u^(extra_degree)."""
-
-    def convert(poly):
-        out = {}
-        for lam, c in poly.terms.items():
-            wdeg = _index_weight(lam)
-            # the t power (K slot) of each scalar term joins the u degree
-            add_terms(out, (
-                (tk + wdeg, TorusPoly.monomial(
-                    n, lam, LaurentQK.monomial(frac, q2=q2)))
-                for (q2, tk), frac in c.terms.items()))
-        return out
-
-    num = convert(rat.num)
-    den = convert(rat.den)
-    num = {d + extra_degree: p for d, p in num.items()}
-    return RationalInU(n, num, den)
+def _top_drift_part(poly):
+    """(degree, part) of the top u-degree of a w-coordinate polynomial
+    under e^(w_j) -> u^j e^(z_j) and t -> u: the t power (K slot) of each
+    scalar term joins the u degree and leaves the part.  A term's degree
+    and exponent fix its t power, so no degree cancels."""
+    parts = {}
+    for lam, c in poly.terms.items():
+        wdeg = _index_weight(lam)
+        for (q2, tk), frac in c.terms.items():
+            add_terms(parts.setdefault(tk + wdeg, {}),
+                      ((lam, LaurentQK.monomial(frac, q2=q2)),))
+    top = max(parts)
+    return top, TorusPoly(poly.n, parts[top])
 
 
 def macdonald_toda_limit(n):
     """Conjugate the symmetric-function operator by the drift monomial
     (each T_i^2 coefficient gains u^(-(i-1))), substitute
-    e^(w_j) = u^j e^(z_j) and t = u, and take u -> infinity exactly.
+    e^(w_j) = u^j e^(z_j) and t = u, and take u -> infinity exactly: the
+    top u-parts of numerator and denominator give the limit on a degree
+    tie, a lower numerator degree gives no term, a higher one diverges.
 
     The limit is  T_N^2 + sum_(i<N) (1 - e^(z_i - z_(i+1))) T_i^2  in
     shift-invariant coordinates.
     """
-    op = macdonald_operator(n)
-    out = DiffOp.zero(n, SL_QUOTIENT)
-    for mu, coeff in op.terms.items():
+    terms = {}
+    for mu, coeff in macdonald_operator(n).terms.items():
         i = next(j + 1 for j in range(n) if mu[j])
-        rat = _substitute_drift(n, coeff, -(i - 1))
-        value = rat.limit()
-        if not value.is_zero:
-            out = out + DiffOp(n, {mu: value}, SL_QUOTIENT)
-    return out
+        dn, num = _top_drift_part(coeff.num)
+        dd, den = _top_drift_part(coeff.den)
+        dn -= i - 1
+        if dn > dd:
+            raise DegenerationError(
+                "divergent coefficient: u-degree %d over %d" % (dn, dd))
+        if dn == dd:
+            terms[mu] = TorusRat(num, den)
+    return DiffOp(n, terms, SL_QUOTIENT)
 
 
 def macdonald_limit_closed_form(n):
     """Direct transcription of the limiting operator."""
-    terms = {}
-    for i in range(1, n + 1):
-        mu = [0] * n
-        mu[i - 1] = 2
-        if i == n:
-            coeff = TorusRat.one(n)
-        else:
-            coeff = TorusRat(TorusPoly.one(n)
-                             - TorusPoly.monomial(n, cyclic_root(n, i)))
-        terms[tuple(mu)] = coeff
-    return DiffOp(n, terms, SL_QUOTIENT)
+    return _single_shift_form(n, {i: -1 for i in range(1, n)})
 
 
 def rescale_root_exponentials(op, s):
@@ -218,38 +172,39 @@ def toda_z_form(n, affine=True):
     return op
 
 
+def _single_shift_form(n, scalars, direction=1):
+    """sum_i (1 + s_i e^(z_i - z_(i+1))) T_i^(2 direction) on the quotient,
+    s_i = scalars[i]; an index missing from ``scalars`` has no
+    exponential."""
+    terms = {}
+    for i in range(1, n + 1):
+        mu = [0] * n
+        mu[i - 1] = 2 * direction
+        coeff = TorusPoly.one(n)
+        if i in scalars:
+            coeff = coeff + TorusPoly.monomial(n, cyclic_root(n, i),
+                                               scalars[i])
+        terms[tuple(mu)] = TorusRat(coeff)
+    return DiffOp(n, terms, SL_QUOTIENT)
+
+
 def toda_simplified_form(n, affine=True):
     """sum T_i^2 - (q-q^(-1))^2 sum_i K^[i=N] e^(z_i-z_(i+1)) T_i^2: the
     image of the z-form under the generator automorphism."""
-    op = DiffOp.zero(n, SL_QUOTIENT)
-    top = n if affine else n - 1
-    for i in range(1, n + 1):
-        mu = [0] * n
-        mu[i - 1] = 2
-        coeff = TorusPoly.one(n)
-        if i <= top:
-            scal = ROOT_WEIGHT * (LaurentQK.k(1) if affine and i == n else 1)
-            coeff = coeff + TorusPoly.monomial(n, cyclic_root(n, i), scal)
-        op = op + DiffOp(n, {tuple(mu): TorusRat(coeff)}, SL_QUOTIENT)
-    return op
+    scalars = {i: ROOT_WEIGHT for i in range(1, n)}
+    if affine:
+        scalars[n] = ROOT_WEIGHT * LaurentQK.k(1)
+    return _single_shift_form(n, scalars)
 
 
 def relativistic_resolved_form(n, periodic, q_offset=0, tau_direction=1):
     """sum_i (1 + g^2 q^(q_offset) e^(z_i - z_(i+1))) T_i^2 with g^2
     symbolic in the K slot; the nonperiodic variant drops the i = N
     exponential.  ``tau_direction`` fixes the sign of the shifts."""
-    op = DiffOp.zero(n, SL_QUOTIENT)
     top = n if periodic else n - 1
-    for i in range(1, n + 1):
-        mu = [0] * n
-        mu[i - 1] = 2 * tau_direction
-        coeff = TorusPoly.one(n)
-        if i <= top:
-            coeff = coeff + TorusPoly.monomial(
-                n, cyclic_root(n, i),
-                LaurentQK.monomial(1, q2=2 * q_offset, k=1))
-        op = op + DiffOp(n, {tuple(mu): TorusRat(coeff)}, SL_QUOTIENT)
-    return op
+    g2 = LaurentQK.monomial(1, q2=2 * q_offset, k=1)
+    return _single_shift_form(n, dict.fromkeys(range(1, top + 1), g2),
+                              tau_direction)
 
 
 def substitute_g2(op, value):
@@ -361,36 +316,18 @@ def relativistic_gauge_check(n, periodic=True):
 
 
 def _uniform_offset(op, n, periodic, direction):
-    """If op = sum (1 + g^2 q^c e^(root)) T_i^2 for one integer c, return
-    c, else None."""
-    offsets = set()
-    top = n if periodic else n - 1
-    for i in range(1, n + 1):
-        mu = [0] * n
-        mu[i - 1] = 2 * direction
-        key = tuple(mu)
-        f = op.terms.get(com_quotient_canonicalize(key))
-        if f is None or not f.is_polynomial():
-            return None
-        poly = f.as_poly()
-        const = poly.terms.get((0,) * n)
-        if const is None or not const.is_one:
-            return None
-        rest = {lam: c for lam, c in poly.terms.items() if any(lam)}
-        if i > top:
-            if rest:
-                return None
-            continue
-        if set(rest) != {cyclic_root(n, i)}:
-            return None
-        c = rest[cyclic_root(n, i)]
-        if len(c.terms) != 1:
-            return None
-        ((q2, g2), frac), = c.terms.items()
-        if frac != 1 or g2 != 1 or q2 % 2:
-            return None
-        offsets.add(q2 // 2)
-    return offsets.pop() if len(offsets) == 1 else None
+    """The c with op = sum (1 + g^2 q^c e^(root)) T_i^2, i.e. op equal to
+    relativistic_resolved_form(n, periodic, c, direction), else None; c is
+    read off the e^(z_1 - z_2) term of T_1^2."""
+    mu = com_quotient_canonicalize((2 * direction,) + (0,) * (n - 1))
+    f = op.terms.get(mu)
+    c = None if f is None else f.num.terms.get(cyclic_root(n, 1))
+    if c is None:
+        return None
+    offset = min(c.terms)[0] // 2
+    if op != relativistic_resolved_form(n, periodic, offset, direction):
+        return None
+    return offset
 
 
 def rescale_g(op, delta):

@@ -9,7 +9,7 @@ from qtoda.diffop import DiffOp, GL, SL_QUOTIENT, sect6_automorphism
 from qtoda.engine import build_toda_operator
 from qtoda import degenerations
 from qtoda.degenerations import (
-    DegenerationError, RationalInU, macdonald_limit_closed_form,
+    DegenerationError, macdonald_limit_closed_form,
     macdonald_operator, macdonald_toda_limit, periodic_matching_exponent,
     relativistic_catalog, relativistic_gauge_check,
     relativistic_resolved_form, rescale_g, rescale_root_exponentials,
@@ -82,17 +82,6 @@ def test_macdonald_limit_closed_form_smallest():
                          - TorusPoly.monomial(n, (1, -1))),
     }, SL_QUOTIENT)
     assert got == want
-
-
-def test_rational_in_u_limit_rules():
-    n = 2
-    one = TorusPoly.one(n)
-    lower = RationalInU(n, {1: one}, {2: one})
-    assert lower.limit().is_zero
-    tie = RationalInU(n, {2: one * 3}, {2: one})
-    assert tie.limit() == TorusRat(one * 3)
-    with pytest.raises(DegenerationError):
-        RationalInU(n, {3: one}, {2: one}).limit()
 
 
 def test_macdonald_limit_rules_on_hand_coefficients(monkeypatch):
@@ -208,6 +197,11 @@ def test_uniform_offset(n, direction, periodic):
         terms[key] = coeff
         changed = DiffOp(n, terms, SL_QUOTIENT)
         assert _uniform_offset(changed, n, periodic, direction) is None, name
+    # every coefficient as in the resolved form, plus a stray shift term
+    stray = DiffOp.shift(n, (1, 1) + (0,) * (n - 2), mode=SL_QUOTIENT)
+    for c in (-2, 0):
+        op = relativistic_resolved_form(n, periodic, c, direction) + stray
+        assert _uniform_offset(op, n, periodic, direction) is None
 
 
 def gauge_record(n, periodic):
