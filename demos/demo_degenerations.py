@@ -31,7 +31,7 @@ print("   The second fundamental contracts to a multiple of the classical")
 print("   Hamiltonian plus a constant; the engine fits the constants:")
 for n, k in ((3, 2), (4, 2)):
     lim = quasiclassical_limit(build_toda_operator(n, k), comb(n, k))
-    idx, c, g = classical_combination_fit(lim, [classical_toda(n)])
+    c, g = classical_combination_fit(lim, classical_toda(n))
     print("   sl(%d), k=%d:  C = %s,  G = %s" % (n, k, c.text(), g.text()))
 
 print()

@@ -41,4 +41,4 @@ print()
 print("Raw mode shows the operator before the Weyl-vector conjugation;")
 print("the diagonal q powers are still visible on the squared shifts:")
 print()
-print(build_toda_operator(2, 1, gauge=False, quotient=False).text())
+print(build_toda_operator(2, 1, raw=True).text())

@@ -105,10 +105,9 @@ def cmd_build(args):
         print("error: --k-value only applies to affine operators",
               file=sys.stderr)
         return EXIT_USAGE
-    gauge = not args.raw
     with _open_out(args.out) as fh:
         op = build_toda_operator(args.n, args.fund, affine=args.affine,
-                                 gauge=gauge, quotient=gauge)
+                                 raw=args.raw)
         if args.k_value is not None:
             op = op.substitute_k(args.k_value)
         fh.write(canonical_json(op.to_json()) if args.format == "json"
@@ -181,10 +180,10 @@ def suite_quasiclassical(n):
         def check_higher(k=k):
             op = build_toda_operator(n, k)
             lim = quasiclassical_limit(op, comb(n, k))
-            fit = classical_combination_fit(lim, [classical_toda(n)])
+            fit = classical_combination_fit(lim, classical_toda(n))
             if fit is None:
                 return False, lim.to_json()
-            _, c, g = fit
+            c, g = fit
             return True, {"C": c.to_json(), "G": g.to_json()}
         report.run("quasiclassical-n%d-k%d-fit" % (n, k),
                    "higher operator contracts to a multiple of a classical "

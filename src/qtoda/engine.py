@@ -31,6 +31,10 @@ of its shift.  A word then costs one scalar product, its coefficient
 times a factor (normal-ordering power, character values, that q power)
 computed once per distinct letters and exponent; in a gauged build the
 exponent is 2 rho . (sum of the raising roots), fixed by the letters.
+The raw reduction skips both steps.  Each shift's terms are summed in
+place, so the operator is wrapped once, without a second pass over its
+terms; the zero-sum check on each word's root sum is what keeps the
+quotient coefficients on the sl torus.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from dataclasses import dataclass, field
 
 from .scalars import LaurentQK
 from .torus import (
-    TorusPoly, add_terms, com_quotient_canonicalize, cyclic_root, dot, vadd,
+    TorusPoly, TorusRat, add_terms, com_quotient_canonicalize, cyclic_root,
+    dot, vadd,
 )
 from .diffop import GL, SL_QUOTIENT, DiffOp, DiffOpError
 from .qrep import (
@@ -193,7 +198,7 @@ def _root_sum(dynkin, nodes):
 # Reduction
 # ---------------------------------------------------------------------------
 
-def _letter_data(w, cfg, symbolic_beta, quotient):
+def _letter_data(w, cfg, symbolic_beta, raw):
     """(part key, root-sum exponent, scalar) of a word's letters: the
     normal-ordering q power, times the product of the character values
     beta_i unless they stay symbolic."""
@@ -207,7 +212,7 @@ def _letter_data(w, cfg, symbolic_beta, quotient):
     if letters != tuple(sorted(sorted_f)):
         raise EngineInvariantError("letter multisets differ in %r" % (w,))
     lam = _root_sum(cfg.dynkin, w.f_nodes)
-    if quotient and sum(lam):
+    if not raw and sum(lam):
         raise DiffOpError(
             "exponent %s is not a function on the sl torus" % (lam,))
     scalar = scal_e * scal_f
@@ -218,8 +223,7 @@ def _letter_data(w, cfg, symbolic_beta, quotient):
     return None, lam, scalar
 
 
-def whittaker_reduce(words, cfg, symbolic_beta=False, gauge=False,
-                     quotient=False):
+def whittaker_reduce(words, cfg, symbolic_beta=False, raw=True):
     """Map trace words to a difference operator.
 
     With symbolic_beta=True the character values are left unevaluated and
@@ -228,16 +232,16 @@ def whittaker_reduce(words, cfg, symbolic_beta=False, gauge=False,
 
     Every word adds one scalar at (shift, root-sum exponent): its
     coefficient times a factor fixed by its letters and one q power.  The
-    back weight contributes q^(2 rho . post).  gauge=True conjugates by
+    back weight contributes q^(2 rho . post).  raw=False conjugates by
     e^(rho . z), which multiplies the coefficient of T_(pre + post) by
-    q^(-rho . (pre + post)); the word's power is then q^(rho . (post -
-    pre)), an integer doubled exponent either way.  quotient=True files
-    each word under the canonical simultaneous-shift representative of
-    its shift and builds sl-quotient operators, whose coefficients must
-    have zero-sum exponents.  Each part becomes one operator at the end.
+    q^(-rho . (pre + post)), so the word's power is q^(rho . (post -
+    pre)), an integer doubled exponent either way; it also files each
+    word under the canonical simultaneous-shift representative of its
+    shift and builds sl-quotient operators, whose coefficients must have
+    zero-sum exponents.  Each part becomes one operator at the end.
     """
     n = cfg.n
-    mode = SL_QUOTIENT if quotient else GL
+    mode = GL if raw else SL_QUOTIENT
     rho2 = {}      # weight -> 2 rho . weight
     factors = {}   # (raising, lowering letters, doubled q exponent)
     #                -> (part key, root-sum exponent, scalar)
@@ -250,39 +254,38 @@ def whittaker_reduce(words, cfg, symbolic_beta=False, gauge=False,
         for v in (pre, post):
             if v not in rho2:
                 rho2[v] = rho_pairing2(n, v)
-        x = rho2[post] - rho2[pre] if gauge else 2 * rho2[post]
+        x = 2 * rho2[post] if raw else rho2[post] - rho2[pre]
         data = factors.get((w.e_nodes, w.f_nodes, x))
         if data is None:
-            key, lam, scalar = _letter_data(w, cfg, symbolic_beta, quotient)
+            key, lam, scalar = _letter_data(w, cfg, symbolic_beta, raw)
             data = factors[w.e_nodes, w.f_nodes, x] = \
                 key, lam, scalar * LaurentQK.q_half(x)
         key, lam, factor = data
         mu = vadd(pre, post)
-        if quotient:
+        if not raw:
             mu = com_quotient_canonicalize(mu)
         shifts = parts.setdefault(key, {})
         add_terms(shifts.setdefault(mu, {}), ((lam, w.coeff * factor),))
-    ops = {key: DiffOp(n, {mu: TorusPoly._wrap(n, poly)
-                           for mu, poly in shifts.items()}, mode)
+    zero = DiffOp.zero(n, mode)
+    ops = {key: zero._wrap({mu: TorusRat(TorusPoly._wrap(n, poly))
+                            for mu, poly in shifts.items() if poly})
            for key, shifts in parts.items()}
-    return ops if symbolic_beta else ops.get(None, DiffOp.zero(n, mode))
+    return ops if symbolic_beta else ops.get(None, zero)
 
 
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def build_toda_operator(n, k, affine=False, orientation=None,
-                        gauge=True, quotient=True):
+def build_toda_operator(n, k, affine=False, orientation=None, raw=False):
     """Full pipeline: representation data, trace expansion, reduction with
     the Weyl-vector conjugation and the simultaneous-shift quotient folded
-    into each word."""
+    into each word; raw=True skips both."""
     if n < 2 or not 1 <= k <= n - 1:
         raise QRepError("invalid rank/exterior power (N=%s, k=%s)" % (n, k))
     cfg = EngineConfig(n=n, k=k, affine=affine, orientation=orientation)
     rep = fundamental_rep(n, k, affine)
-    return whittaker_reduce(expand_central_words(rep, cfg), cfg,
-                            gauge=gauge, quotient=quotient)
+    return whittaker_reduce(expand_central_words(rep, cfg), cfg, raw=raw)
 
 
 def toda_family(n, affine=False, orientation=None):

@@ -271,49 +271,40 @@ def quasiclassical_limit(op, dim_v):
     return (jet.coeff(1) * inv[1] + jet.coeff(2) * inv[0]).sl_reduce()
 
 
-def classical_combination_fit(limit_op, candidates):
-    """Express a quasiclassical limit as C * candidate + G with C a
-    nonzero scalar and G a constant, trying each candidate in turn.
+def classical_combination_fit(limit_op, target):
+    """Express a quasiclassical limit as C * target + G with C a nonzero
+    scalar and G a constant.
 
-    Returns (index, C, G) for the first candidate that matches exactly, or
-    None.  C is fitted on the leading derivative part, G on the constants.
+    Returns (C, G) if that matches exactly, else None.  C is fitted on the
+    leading derivative part, G on the constants.
     """
-    n = limit_op.n
-    const_key = (0,) * n
-    origin = (0,) * n
-    for idx, cand in enumerate(candidates):
-        ratio = None
-        ok = True
-        for gamma, coeff in cand.terms.items():
-            if gamma == const_key:
-                continue
-            got = limit_op.terms.get(gamma)
-            if got is None:
-                ok = False
-                break
-            for lam, c in coeff.terms.items():
-                g = got.terms.get(lam)
-                if g is None:
-                    ok = False
-                    break
-                r = _scalar_ratio(g, c)
-                if r is None or (ratio is not None and r != ratio):
-                    ok = False
-                    break
-                ratio = r
-            if not ok:
-                break
-        if not ok or ratio is None:
+    const_key = (0,) * limit_op.n
+    ratio = None
+    for gamma, coeff in target.terms.items():
+        if gamma == const_key:
             continue
-        diff = limit_op - cand * ratio
-        # remainder must be a plain constant
-        rem = {g: c for g, c in diff.terms.items() if not c.is_zero}
-        if not rem:
-            return idx, ratio, LaurentQK.zero()
-        if set(rem) == {const_key}:
-            const = rem[const_key].terms.get(origin)
-            if const is not None and len(rem[const_key].terms) == 1:
-                return idx, ratio, const
+        got = limit_op.terms.get(gamma)
+        if got is None:
+            return None
+        for lam, c in coeff.terms.items():
+            g = got.terms.get(lam)
+            if g is None:
+                return None
+            r = _scalar_ratio(g, c)
+            if r is None or (ratio is not None and r != ratio):
+                return None
+            ratio = r
+    if ratio is None:
+        return None
+    diff = limit_op - target * ratio
+    # remainder must be a plain constant
+    rem = {g: c for g, c in diff.terms.items() if not c.is_zero}
+    if not rem:
+        return ratio, LaurentQK.zero()
+    if set(rem) == {const_key}:
+        const = rem[const_key].terms.get(const_key)
+        if const is not None and len(rem[const_key].terms) == 1:
+            return ratio, const
     return None
 
 

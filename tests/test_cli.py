@@ -28,11 +28,18 @@ def run(capsys, *argv):
 def test_build_matches_goldens(capsys, n):
     code, out, _ = run(capsys, "build", "--n", str(n), "--fund", "1")
     assert code == 0
-    assert out == golden("first_operator_n%d_finite" % n)
+    assert out == golden("operators/toda_n%d_k1_finite" % n)
     code, out, _ = run(capsys, "build", "--n", str(n), "--fund", "1",
                        "--affine")
     assert code == 0
-    assert out == golden("first_operator_n%d_affine" % n)
+    assert out == golden("operators/toda_n%d_k1_affine" % n)
+
+
+@pytest.mark.parametrize("family", ["finite", "affine"])
+def test_benchmark_golden_copies(family):
+    # the benchmark checks its N=5 first operators against these copies
+    assert golden("first_operator_n5_" + family) == \
+        golden("operators/toda_n5_k1_" + family)
 
 
 def test_transcription_goldens():
@@ -69,7 +76,7 @@ def test_build_k_value_substitution(capsys):
     code, out, _ = run(capsys, "build", "--n", "2", "--fund", "1",
                        "--affine", "--k-value", "0")
     assert code == 0
-    assert out == golden("first_operator_n2_finite")
+    assert out == golden("operators/toda_n2_k1_finite")
     code, out, _ = run(capsys, "build", "--n", "2", "--fund", "1",
                        "--k-value", "1/2")
     assert code == 2
@@ -98,7 +105,7 @@ def test_build_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "build", "--n", "2", "--fund", "1",
                        "--out", str(path))
     assert code == 0 and out == ""
-    assert path.read_text() == golden("first_operator_n2_finite")
+    assert path.read_text() == golden("operators/toda_n2_k1_finite")
 
 
 @pytest.mark.parametrize("argv", [

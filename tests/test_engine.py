@@ -76,7 +76,7 @@ def test_raw_operator_goldens(n, k, affine):
     name = "toda_n%d_k%d_%s.json" % (n, k, "affine" if affine else "finite")
     with open(osp.join(GOLDEN_RAW, name)) as fh:
         want = fh.read()
-    op = build_toda_operator(n, k, affine, gauge=False, quotient=False)
+    op = build_toda_operator(n, k, affine, raw=True)
     assert canonical_json(op.to_json()) == want
 
 
@@ -98,17 +98,13 @@ def test_trace_word_digests():
     assert got == want
 
 
-def three_pass_oracle(n, k, affine, gauge=True, quotient=True):
+def three_pass_oracle(n, k, affine):
     """The reduction, then the Weyl-vector gauge and the quotient as
     separate passes over the whole operator."""
     cfg = EngineConfig(n=n, k=k, affine=affine)
     op = whittaker_reduce(
         expand_central_words(fundamental_rep(n, k, affine), cfg), cfg)
-    if gauge:
-        op = op.gauge_monomial(weyl_vector(n))
-    if quotient:
-        op = op.quotient_reduce()
-    return op
+    return op.gauge_monomial(weyl_vector(n)).quotient_reduce()
 
 
 @pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
@@ -121,19 +117,6 @@ def test_build_matches_three_pass_oracle(n, affine):
             canonical_json(want.to_json())
 
 
-@pytest.mark.parametrize("gauge,quotient", [(True, False), (False, True)])
-@pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
-def test_half_pipelines_match_three_pass_oracle(gauge, quotient, affine):
-    for n in range(2, 6):
-        for k in range(1, n):
-            want = three_pass_oracle(n, k, affine, gauge, quotient)
-            got = build_toda_operator(n, k, affine, gauge=gauge,
-                                      quotient=quotient)
-            assert got.mode == want.mode
-            assert canonical_json(got.to_json()) == \
-                canonical_json(want.to_json())
-
-
 def test_quotient_rejects_non_zero_sum_coefficients(monkeypatch):
     # a root sum off the zero-sum lattice must not reach the quotient
     root_sum = engine._root_sum
@@ -143,10 +126,9 @@ def test_quotient_rejects_non_zero_sum_coefficients(monkeypatch):
         return (total[0] + 1,) + total[1:]
 
     monkeypatch.setattr(engine, "_root_sum", skewed)
-    for gauge in (True, False):
-        with pytest.raises(DiffOpError):
-            build_toda_operator(3, 1, gauge=gauge, quotient=True)
-    build_toda_operator(3, 1, quotient=False)
+    with pytest.raises(DiffOpError):
+        build_toda_operator(3, 1)
+    build_toda_operator(3, 1, raw=True)
 
 
 def test_exterior_square_sl3_hand_value():
@@ -238,7 +220,7 @@ def test_letter_sets_are_pairwise_nonadjacent():
 
 def test_total_shift_degree_constant():
     for n, k in [(3, 1), (3, 2), (4, 2), (5, 3)]:
-        op = build_toda_operator(n, k, gauge=False, quotient=False)
+        op = build_toda_operator(n, k, raw=True)
         degrees = {sum(mu) for mu in op.terms}
         assert degrees == {2 * k}
         for f in op.terms.values():

@@ -118,7 +118,7 @@ def test_quasiclassical_input_validation():
     op = build_toda_operator(n, 1)
     with pytest.raises(LimitError):
         quasiclassical_limit(op, n + 1)      # wrong dimension offset
-    raw = build_toda_operator(n, 1, gauge=False, quotient=False)
+    raw = build_toda_operator(n, 1, raw=True)
     with pytest.raises(LimitError):
         quasiclassical_limit(raw, n)         # not on the quotient
 
@@ -136,10 +136,9 @@ def test_quasiclassical_detects_surviving_pole():
 def test_quasiclassical_higher_fundamentals(n, k, c_expected):
     op = build_toda_operator(n, k)
     lim = quasiclassical_limit(op, comb(n, k))
-    fit = classical_combination_fit(lim, [classical_toda(n)])
+    fit = classical_combination_fit(lim, classical_toda(n))
     assert fit is not None
-    idx, c, g = fit
-    assert idx == 0
+    c, g = fit
     assert c == LaurentQK.rational(c_expected)
     assert g == LaurentQK.zero()
 
@@ -149,7 +148,7 @@ def test_combination_fit_rejects_wrong_candidate():
     lim = quasiclassical_limit(build_toda_operator(n, 1), n)
     wrong = classical_toda(n) + DifferentialOp(
         n, {(1, 0, 0): TorusPoly.monomial(n, (1, -1, 0))})
-    assert classical_combination_fit(lim, [wrong]) is None
+    assert classical_combination_fit(lim, wrong) is None
 
 
 # -- inverse-sinh-squared limits ------------------------------------------------
