@@ -14,8 +14,11 @@ Every engine operator is a sum of monomials w e^(lam . z) T_mu whose
 scalar is exactly a weight w(j, k) = ROOT_WEIGHT^j K^k, one factor
 ROOT_WEIGHT = -(q - q^-1)^2 per cyclic root exponential.  Composition
 decodes such operands into integer lattice points and counts products
-per point instead of multiplying scalars; any other coefficient is
-multiplied exactly in TorusRat.
+per point instead of multiplying scalars.  A commutator counts a b with
+sign +1 and b a with sign -1 in one such table, so that pairings that
+cancel are dropped before any scalar is built; for a commuting family
+nothing is left.  Any other coefficient is multiplied exactly in
+TorusRat, and its commutator is the difference of the two products.
 
 The module also houses two transformations used by the verification
 suites: the generator automorphism T_i -> T_i,
@@ -52,6 +55,33 @@ def _weight(j, k, p=0):
         w = _WEIGHTS[j, k, p] = (
             ROOT_WEIGHT ** j * LaurentQK.monomial(1, q2=2 * p, k=k)).terms
     return w
+
+
+def _product_counts(left, right):
+    """Pairs of decoded points (point, lam, mu) counted per (point sum,
+    lam2 . mu1): the lattice form of a b."""
+    counts = {}
+    for a, _, mu in left:
+        for b, lam, _ in right:
+            key = tuple(map(add, a, b)), sum(map(mul, lam, mu))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _commutator_counts(left, right):
+    """a b counted with +1 and b a with -1 in one table.  Both products
+    pair the same points to the same sum; a pair whose two pairings
+    lam2 . mu1 and lam1 . mu2 agree cancels on the spot."""
+    counts = {}
+    for a, lam1, mu1 in left:
+        for b, lam2, mu2 in right:
+            p = sum(map(mul, lam2, mu1))
+            r = sum(map(mul, lam1, mu2))
+            if p != r:
+                v = tuple(map(add, a, b))
+                counts[v, p] = counts.get((v, p), 0) + 1
+                counts[v, r] = counts.get((v, r), 0) - 1
+    return counts
 
 
 class DiffOpError(ValueError):
@@ -172,48 +202,70 @@ class DiffOp:
         """Operator product, exact and associative:
         (f T_mu)(g T_nu) = f sigma_mu(g) T_(mu+nu).
 
-        A coefficient monomial c e^(lam . z) of T_mu whose scalar c is
-        exactly a weight w(j, k) = ROOT_WEIGHT^j K^k, j >= 0, decodes to
-        the lattice point mu + lam + (j, k).  When every monomial of both
-        operands decodes, a pair of points adds componentwise and picks up
-        q^(lam2 . mu): the pairs are counted as integers per (point sum,
-        lam2 . mu), and each count adds count q^(lam2 . mu) w(J, K)
-        e^(lam . z) T_mu to the product once, at the end.  Otherwise every
-        pair of terms is multiplied exactly as f * sigma_mu(g) in TorusRat.
+        Operands of unit-weight monomials are counted on the lattice (see
+        _counted); otherwise every pair of terms is multiplied exactly as
+        f * sigma_mu(g) in TorusRat.
         """
         other = self._coerce(other)
         self._check(other)
-        n, quotient = self.n, self.mode == SL_QUOTIENT
-        left, right, exact = [], [], False
+        out = self._counted(other, _product_counts)
+        if out is not None:
+            return out
+        quotient = self.mode == SL_QUOTIENT
+        terms = {}
+        for mu, f in self.terms.items():
+            for nu, g in other.terms.items():
+                key = vadd(mu, nu)
+                if quotient:
+                    key = com_quotient_canonicalize(key)
+                add_terms(terms, ((key, f * g.shift_substitute(mu)),))
+        return self._wrap(terms)
+
+    def commutator(self, other):
+        """[self, other] = self other - other self.  Unit-weight operands
+        count both products in one signed table (see _counted), so that
+        equal pairings cancel before any scalar is built; otherwise the
+        two exact products are subtracted."""
+        other = self._coerce(other)
+        self._check(other)
+        out = self._counted(other, _commutator_counts)
+        if out is not None:
+            return out
+        return self.compose(other) - other.compose(self)
+
+    def _counted(self, other, tally):
+        """A product of self and other counted on the integer lattice, or
+        None if some coefficient does not decode.
+
+        A coefficient monomial c e^(lam . z) of T_mu whose scalar c is
+        exactly a weight w(j, k) = ROOT_WEIGHT^j K^k, j >= 0, decodes to
+        the lattice point mu + lam + (j, k), kept as (point, lam, mu) in
+        left (self) or right (other).  A pair of points adds
+        componentwise and picks up q^(lam2 . mu), so ``tally(left,
+        right)`` returns signed integer counts per (point sum,
+        lam2 . mu); each nonzero count adds count q^(lam2 . mu) w(J, K)
+        e^(lam . z) T_mu to the result once, at the end.
+        """
+        n = self.n
+        left, right = [], []
         for op, points in ((self, left), (other, right)):
             for mu, f in op.terms.items():
-                exact = exact or not f.is_polynomial()
+                if not f.is_polynomial():
+                    return None
                 for lam, c in f.num.terms.items():
                     q2, k = max(c.terms)
                     if q2 < 0 or q2 % 4 or _weight(q2 // 4, k) != c.terms:
-                        exact = True
-                    points.append((mu + lam + (q2 // 4, k), lam))
-        terms = {}
-        if exact:
-            for mu, f in self.terms.items():
-                for nu, g in other.terms.items():
-                    key = vadd(mu, nu)
-                    if quotient:
-                        key = com_quotient_canonicalize(key)
-                    add_terms(terms, ((key, f * g.shift_substitute(mu)),))
-            return self._wrap(terms)
-        counts = {}
-        for a, _ in left:
-            mu = a[:n]
-            for b, lam in right:
-                key = tuple(map(add, a, b)), sum(map(mul, lam, mu))
-                counts[key] = counts.get(key, 0) + 1
+                        return None
+                    points.append((mu + lam + (q2 // 4, k), lam, mu))
         # quotient shifts end in 0, so their sums are canonical already
         sums = {}   # output shift + exponent -> {scalar key: int}
-        for (v, p), count in counts.items():
+        for (v, p), count in tally(left, right).items():
+            if not count:
+                continue
             acc = sums.setdefault(v[:-2], {})
             for key, c in _weight(v[-2], v[-1], p).items():
                 acc[key] = acc.get(key, 0) + count * c
+        terms = {}
         for v, acc in sums.items():
             if 0 in acc.values():
                 for key in [key for key, c in acc.items() if not c]:
@@ -222,9 +274,6 @@ class DiffOp:
                 terms.setdefault(v[:n], {})[v[n:]] = LaurentQK._wrap(acc)
         return self._wrap({mu: TorusRat(TorusPoly._wrap(n, poly))
                            for mu, poly in terms.items()})
-
-    def commutator(self, other):
-        return self.compose(other) - other.compose(self)
 
     def gauge_monomial(self, lam):
         """Conjugate by the monomial e^(lam . z): the T_mu coefficient is

@@ -317,7 +317,11 @@ class TorusRat:
         return self.num.is_zero
 
     def is_polynomial(self):
-        return self.den == TorusPoly.one(self.n)
+        terms = self.den.terms
+        if len(terms) != 1:
+            return False
+        c = terms.get((0,) * self.num.n)
+        return c is not None and c.terms == ONE.terms
 
     def as_poly(self):
         if not self.is_polynomial():

@@ -282,6 +282,34 @@ def test_automorphism_k0_failure_carries_the_k0_form(monkeypatch):
     assert check["residual"] == (real(3, True) * 2).substitute_k(0).to_json()
 
 
+def test_macdonald_limit_is_computed_once_per_suite(monkeypatch):
+    from qtoda import cli as cli_mod
+    from qtoda.degenerations import DegenerationError
+    real = cli_mod.macdonald_toda_limit
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli_mod, "macdonald_toda_limit", counted)
+    assert cli_mod.suite_macdonald_limit(4).ok
+    assert calls == [4]
+
+    # a limit that raises fails both checks with its repr, as it did when
+    # each check computed the limit itself
+    def boom(n):
+        calls.append(n)
+        raise DegenerationError("no drift limit at N=%d" % n)
+
+    calls.clear()
+    monkeypatch.setattr(cli_mod, "macdonald_toda_limit", boom)
+    checks = cli_mod.suite_macdonald_limit(4).checks
+    assert calls == [4]
+    assert [(c["status"], c["residual"]) for c in checks] == \
+        [("fail", "DegenerationError('no drift limit at N=4')")] * 2
+
+
 def test_cm_limit_failures_carry_a_residual(monkeypatch):
     from qtoda import cli as cli_mod
     from qtoda.limits import SinhTerm, cm_limit

@@ -273,6 +273,57 @@ def test_planted_non_commuting_pair_reports_its_residual(affine, monkeypatch):
     assert check["residual"] == want
 
 
+def drop_points(op, drop):
+    """op without the coefficient monomials whose positions, in sorted
+    (mu, lam) order, are in drop."""
+    points = sorted((mu, lam) for mu, f in op.terms.items()
+                    for lam in f.num.terms)
+    terms = {}
+    for i, (mu, lam) in enumerate(points):
+        if i not in drop:
+            terms.setdefault(mu, {})[lam] = op.terms[mu].num.terms[lam]
+    return DiffOp(op.n, {mu: TorusPoly(op.n, poly)
+                         for mu, poly in terms.items()}, op.mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_commutator_matches_reference_on_perturbed_families(data):
+    # two members of a family with random points dropped, and sometimes
+    # one coefficient scaled off the weights so that the exact path runs
+    n = data.draw(st.integers(min_value=3, max_value=5))
+    family = toda_family(n, data.draw(st.booleans()))
+    i = data.draw(st.integers(min_value=0, max_value=len(family) - 1))
+    j = data.draw(st.integers(min_value=0, max_value=len(family) - 1))
+    a, b = (drop_points(op, data.draw(st.sets(st.integers(0, 9),
+                                              max_size=3)))
+            for op in (family[i], family[j]))
+    scale = data.draw(st.sampled_from([None, 2, Q(1)]))
+    if scale is not None and a.terms:
+        mu = data.draw(st.sampled_from(sorted(a.terms)))
+        a = DiffOp(n, {**a.terms, mu: a.terms[mu] * scale}, a.mode)
+    if data.draw(st.booleans()):
+        a, b = b, a
+    ref = reference_compose(a, b) - reference_compose(b, a)
+    assert a.commutator(b).to_json() == ref.to_json()
+
+
+def test_family_commutators_take_the_signed_table(monkeypatch):
+    # unit-weight operands never reach the exact fallback: neither
+    # compose nor a TorusRat sum runs, and every commutator is zero
+    families = [toda_family(5, affine) for affine in (False, True)]
+
+    def never(*args):
+        raise AssertionError("exact commutator path taken")
+
+    monkeypatch.setattr(DiffOp, "compose", never)
+    monkeypatch.setattr(TorusRat, "__add__", never)
+    for family in families:
+        for a in family:
+            for b in family:
+                assert a.commutator(b).is_zero
+
+
 def test_compose_shift_past_coefficient():
     n = 2
     t1 = DiffOp.shift(n, (1, 0))

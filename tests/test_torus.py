@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +128,25 @@ def test_rat_field_ops():
     assert quot * b == a + b
     with pytest.raises(ZeroDivisionError):
         TorusRat(mono((1, 0, 0)), TorusPoly.zero(3))
+
+
+@pytest.mark.parametrize("den, want", [
+    (TorusPoly.one(N), True),
+    # a one whose value is Fraction(1) rather than int 1
+    (TorusPoly._wrap(N, {(0,) * N: LaurentQK._wrap({(0, 0): Fraction(1)})}),
+     True),
+    (TorusPoly.constant(N, 2), False),
+    (TorusPoly.constant(N, Q(1)), False),
+    (TorusPoly.constant(N, LaurentQK.k(1)), False),
+    (mono((1, -1, 0)), False),
+    (mono((1, -1, 0)) + 1, False),
+])
+def test_rat_is_polynomial(den, want):
+    # set directly, bypassing the normalisation a constructor would do
+    r = TorusRat.__new__(TorusRat)
+    r.num, r.den = mono((0, 1, -1)), den
+    assert r.is_polynomial() is want
+    assert want == (den == TorusPoly.one(N))
 
 
 def test_rat_shift_substitute_matches_poly():
