@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os.path as osp
 from fractions import Fraction
 
@@ -16,8 +18,8 @@ from qtoda.diffop import (
 )
 from qtoda.engine import build_toda_operator, toda_family
 
-GOLDEN_AUT = osp.join(osp.dirname(osp.abspath(__file__)), "golden",
-                      "automorphism")
+GOLDEN = osp.join(osp.dirname(osp.abspath(__file__)), "golden")
+GOLDEN_AUT = osp.join(GOLDEN, "automorphism")
 
 Q = LaurentQK.q
 ONE = LaurentQK.one()
@@ -101,6 +103,28 @@ def test_compose_matches_reference_on_families(n, affine):
     for a in family:
         for b in family:
             assert a.compose(b).to_json() == reference_compose(a, b).to_json()
+
+
+with open(osp.join(GOLDEN, "products_sha256.json")) as fh:
+    PRODUCT_DIGESTS = json.load(fh)
+
+
+@pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_product_goldens(n, affine):
+    # sha256 of the canonical JSON of every ordered product a b of the
+    # N = 2..6 families
+    family = toda_family(n, affine)
+    tag = "n%d-%s-" % (n, "affine" if affine else "finite")
+    want = {key: d for key, d in PRODUCT_DIGESTS.items()
+            if key.startswith(tag)}
+    got = {}
+    for i, a in enumerate(family, 1):
+        for j, b in enumerate(family, 1):
+            text = canonical_json(a.compose(b).to_json())
+            got["%sk%dxk%d" % (tag, i, j)] = \
+                hashlib.sha256(text.encode()).hexdigest()
+    assert got == want
 
 
 @pytest.mark.parametrize("mode", [GL, SL_QUOTIENT])
