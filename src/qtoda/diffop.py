@@ -13,12 +13,18 @@ then canonicalized modulo (1,...,1)).
 Every engine operator is a sum of monomials w e^(lam . z) T_mu whose
 scalar is exactly a weight w(j, k) = ROOT_WEIGHT^j K^k, one factor
 ROOT_WEIGHT = -(q - q^-1)^2 per cyclic root exponential.  Composition
-decodes such operands into integer lattice points and counts products
-per point instead of multiplying scalars.  A commutator counts a b with
-sign +1 and b a with sign -1 in one such table, so that pairings that
-cancel are dropped before any scalar is built; for a commuting family
-nothing is left.  Any other coefficient is multiplied exactly in
-TorusRat, and its commutator is the difference of the two products.
+decodes such operands into integer lattice points (mu, lam, j, k),
+groups the left operand's points by shift and the right operand's by
+coefficient monomial, and adds the weight of each pair straight into
+the integer scalar terms of its output slot (mu1 + mu2, lam1 + lam2),
+the q power q^(lam2 . mu1) being paired once per pair of groups.  A
+commutator counts a b with sign +1 and b a with sign -1 in one integer
+table, so that pairings that cancel are dropped before any scalar is
+built; for a commuting family nothing is left.  Any other coefficient
+is multiplied exactly in TorusRat, and its commutator is the difference
+of the two products.  A difference x - y merges y's terms with a minus
+sign into a copy of x at every layer, so equal products cancel without
+a negated copy.
 
 The module also houses two transformations used by the verification
 suites: the generator automorphism T_i -> T_i,
@@ -31,7 +37,7 @@ psi(x) f(x)^(-1), f a square-root symbol.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
 from .scalars import LaurentQK
 from .torus import (
@@ -57,31 +63,58 @@ def _weight(j, k, p=0):
     return w
 
 
-def _product_counts(left, right):
-    """Pairs of decoded points (point, lam, mu) counted per (point sum,
-    lam2 . mu1): the lattice form of a b."""
-    counts = {}
-    for a, _, mu in left:
-        for b, lam, _ in right:
-            key = tuple(map(add, a, b)), sum(map(mul, lam, mu))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _commutator_counts(left, right):
-    """a b counted with +1 and b a with -1 in one table.  Both products
-    pair the same points to the same sum; a pair whose two pairings
-    lam2 . mu1 and lam1 . mu2 agree cancels on the spot."""
-    counts = {}
-    for a, lam1, mu1 in left:
-        for b, lam2, mu2 in right:
+def _product_slots(left, right):
+    """a b on the lattice (see DiffOp._counted).  A pair of points adds
+    q^(lam2 . mu1) w(j1 + j2, k1 + k2) to the scalar terms of the slot
+    (mu1 + mu2, lam1 + lam2).  The q power is paired once per group pair,
+    and each weight is looked up once per left point and right group."""
+    slots = {}
+    for mu1, lefts in left.items():
+        for (lam2, j2, k2), rights in right.items():
             p = sum(map(mul, lam2, mu1))
-            r = sum(map(mul, lam1, mu2))
-            if p != r:
-                v = tuple(map(add, a, b))
-                counts[v, p] = counts.get((v, p), 0) + 1
-                counts[v, r] = counts.get((v, r), 0) - 1
-    return counts
+            lams = [(tuple(map(add, lam1, lam2)),
+                     _weight(j1 + j2, k1 + k2, p))
+                    for lam1, j1, k1 in lefts]
+            for mu2 in rights:
+                slot = slots.setdefault(tuple(map(add, mu1, mu2)), {})
+                for lam, w in lams:
+                    acc = slot.get(lam)
+                    if acc is None:
+                        slot[lam] = dict(w)
+                    else:
+                        for key, c in w.items():
+                            acc[key] = acc.get(key, 0) + c
+    return slots
+
+
+def _commutator_slots(left, right):
+    """a b - b a on the lattice (see DiffOp._counted).  Both products pair
+    the same points to the same slot, so the pairs are counted first, +1
+    at (j, k, lam2 . mu1) and -1 at (j, k, lam1 . mu2); a pair whose two
+    pairings agree cancels on the spot, and only the counts that do not
+    sum to zero are expanded into scalar terms."""
+    slots = {}
+    for mu1, lefts in left.items():
+        for (lam2, j2, k2), rights in right.items():
+            p = sum(map(mul, lam2, mu1))
+            for mu2 in rights:
+                for lam1, j1, k1 in lefts:
+                    r = sum(map(mul, lam1, mu2))
+                    if p != r:
+                        counts = slots.setdefault(
+                            tuple(map(add, mu1, mu2)), {}).setdefault(
+                                tuple(map(add, lam1, lam2)), {})
+                        j, k = j1 + j2, k1 + k2
+                        counts[j, k, p] = counts.get((j, k, p), 0) + 1
+                        counts[j, k, r] = counts.get((j, k, r), 0) - 1
+    for slot in slots.values():
+        for lam, counts in slot.items():
+            acc = slot[lam] = {}
+            for (j, k, p), count in counts.items():
+                if count:
+                    for key, c in _weight(j, k, p).items():
+                        acc[key] = acc.get(key, 0) + count * c
+    return slots
 
 
 class DiffOpError(ValueError):
@@ -141,39 +174,64 @@ class DiffOp:
         if self.n != other.n or self.mode != other.mode:
             raise DiffOpError("operators live in different algebras")
 
-    def __add__(self, other):
+    def _merged(self, other, op):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         self._check(other)
-        return self._wrap(add_terms(dict(self.terms), other.terms.items()))
+        return self._wrap(
+            add_terms(dict(self.terms), other.terms.items(), op))
+
+    def __add__(self, other):
+        return self._merged(other, add)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return self._wrap({mu: -f for mu, f in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._merged(other, sub)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentQK, TorusRat, TorusPoly)):
-            g = other
-            terms = {}
-            for mu, f in self.terms.items():
-                p = f * g
-                if not p.is_zero:
-                    terms[mu] = p
-            return self._wrap(terms)
-        return self.compose(other)
+        if isinstance(other, (int, LaurentQK)):
+            return self._scaled(other)
+        other = self._coerce(other)
+        return other if other is NotImplemented else self.compose(other)
 
     def __rmul__(self, other):
+        # a scalar or a function on the left multiplies every coefficient
         if isinstance(other, (int, LaurentQK, TorusRat, TorusPoly)):
-            return self.__mul__(other)
+            return self._scaled(other)
         return NotImplemented
 
+    def _scaled(self, g):
+        terms = {}
+        for mu, f in self.terms.items():
+            p = f * g
+            if not p.is_zero:
+                terms[mu] = p
+        return self._wrap(terms)
+
     def _coerce(self, other):
+        """other as an operator of this algebra: a scalar or a function is
+        its multiple of T_0; NotImplemented for anything else."""
         if isinstance(other, DiffOp):
             return other
-        if isinstance(other, (int, LaurentQK)):
+        if isinstance(other, (int, LaurentQK, TorusPoly, TorusRat)):
             return DiffOp(self.n, {(0,) * self.n: other}, self.mode)
-        raise TypeError("cannot coerce %r" % (other,))
+        return NotImplemented
+
+    def _operand(self, other):
+        op = self._coerce(other)
+        if op is NotImplemented:
+            raise TypeError("cannot coerce %r" % (other,))
+        self._check(op)
+        return op
 
     def _wrap(self, terms):
         out = DiffOp.__new__(DiffOp)
@@ -206,9 +264,8 @@ class DiffOp:
         _counted); otherwise every pair of terms is multiplied exactly as
         f * sigma_mu(g) in TorusRat.
         """
-        other = self._coerce(other)
-        self._check(other)
-        out = self._counted(other, _product_counts)
+        other = self._operand(other)
+        out = self._counted(other, _product_slots)
         if out is not None:
             return out
         quotient = self.mode == SL_QUOTIENT
@@ -226,9 +283,8 @@ class DiffOp:
         count both products in one signed table (see _counted), so that
         equal pairings cancel before any scalar is built; otherwise the
         two exact products are subtracted."""
-        other = self._coerce(other)
-        self._check(other)
-        out = self._counted(other, _commutator_counts)
+        other = self._operand(other)
+        out = self._counted(other, _commutator_slots)
         if out is not None:
             return out
         return self.compose(other) - other.compose(self)
@@ -239,16 +295,17 @@ class DiffOp:
 
         A coefficient monomial c e^(lam . z) of T_mu whose scalar c is
         exactly a weight w(j, k) = ROOT_WEIGHT^j K^k, j >= 0, decodes to
-        the lattice point mu + lam + (j, k), kept as (point, lam, mu) in
-        left (self) or right (other).  A pair of points adds
-        componentwise and picks up q^(lam2 . mu), so ``tally(left,
-        right)`` returns signed integer counts per (point sum,
-        lam2 . mu); each nonzero count adds count q^(lam2 . mu) w(J, K)
-        e^(lam . z) T_mu to the result once, at the end.
+        the point (mu, lam, j, k).  Self's points are grouped by shift,
+        left[mu1] = [(lam1, j1, k1), ...], and other's by coefficient
+        monomial, right[lam2, j2, k2] = [mu2, ...].  A pair of points adds
+        componentwise and picks up q^(lam2 . mu1).  ``tally(left, right)``
+        returns the integer scalar terms of the result per output shift
+        and exponent, {mu: {lam: {(q2, K): int}}}; here zero terms are
+        dropped and the rest wrapped as the operator.
         """
-        n = self.n
-        left, right = [], []
-        for op, points in ((self, left), (other, right)):
+        left, right = {}, {}
+        for op, points, by_shift in ((self, left, True),
+                                     (other, right, False)):
             for mu, f in op.terms.items():
                 if not f.is_polynomial():
                     return None
@@ -256,24 +313,22 @@ class DiffOp:
                     q2, k = max(c.terms)
                     if q2 < 0 or q2 % 4 or _weight(q2 // 4, k) != c.terms:
                         return None
-                    points.append((mu + lam + (q2 // 4, k), lam, mu))
+                    if by_shift:
+                        points.setdefault(mu, []).append((lam, q2 // 4, k))
+                    else:
+                        points.setdefault((lam, q2 // 4, k), []).append(mu)
         # quotient shifts end in 0, so their sums are canonical already
-        sums = {}   # output shift + exponent -> {scalar key: int}
-        for (v, p), count in tally(left, right).items():
-            if not count:
-                continue
-            acc = sums.setdefault(v[:-2], {})
-            for key, c in _weight(v[-2], v[-1], p).items():
-                acc[key] = acc.get(key, 0) + count * c
-        terms = {}
-        for v, acc in sums.items():
-            if 0 in acc.values():
-                for key in [key for key, c in acc.items() if not c]:
-                    del acc[key]
-            if acc:
-                terms.setdefault(v[:n], {})[v[n:]] = LaurentQK._wrap(acc)
-        return self._wrap({mu: TorusRat(TorusPoly._wrap(n, poly))
-                           for mu, poly in terms.items()})
+        n, terms = self.n, {}
+        for mu, slot in tally(left, right).items():
+            poly = {}
+            for lam, acc in slot.items():
+                if 0 in acc.values():
+                    acc = {key: c for key, c in acc.items() if c}
+                if acc:
+                    poly[lam] = LaurentQK._wrap(acc)
+            if poly:
+                terms[mu] = TorusRat(TorusPoly._wrap(n, poly))
+        return self._wrap(terms)
 
     def gauge_monomial(self, lam):
         """Conjugate by the monomial e^(lam . z): the T_mu coefficient is

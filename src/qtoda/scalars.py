@@ -22,6 +22,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 _ZKEY = (0, 0)   # exponent key of the constant term: (doubled q, K)
 
@@ -108,22 +109,25 @@ class LaurentQK:
 
     # -- ring structure ------------------------------------------------
 
-    def __add__(self, other):
-        other = _promote(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
+    def _merged(self, other, op):
+        """other's terms merged into a copy of self's with op (add, or sub
+        for a difference); keys whose result is zero are dropped."""
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, 0) + c
+            s = op(terms.get(key, 0), c)
             if s:
                 terms[key] = s
             else:
-                terms.pop(key, None)
-        out = LaurentQK.__new__(LaurentQK)
-        out.terms = terms
-        return out
+                del terms[key]
+        return LaurentQK._wrap(terms)
+
+    def __add__(self, other):
+        other = _operand(other)
+        if other is NotImplemented or not self.terms:
+            return other
+        if not other.terms:
+            return self
+        return self._merged(other, add)
 
     __radd__ = __add__
 
@@ -133,13 +137,23 @@ class LaurentQK:
         return out
 
     def __sub__(self, other):
-        return self + (-_promote(other))
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
+        if self.terms == other.terms:
+            return ZERO
+        return self._merged(other, sub)
 
     def __rsub__(self, other):
-        return _promote(other) + (-self)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
+        return other - self
 
     def __mul__(self, other):
-        other = _promote(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         if not self.terms or not other.terms:
             return LaurentQK()
         terms = {}
@@ -173,10 +187,9 @@ class LaurentQK:
         return out
 
     def __eq__(self, other):
-        try:
-            other = _promote(other)
-        except TypeError:
-            return NotImplemented
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return self.terms == other.terms
 
     def __ne__(self, other):
@@ -305,12 +318,21 @@ def _half_str(n2):
     return "(%d/2)" % n2
 
 
-def _promote(x):
+def _operand(x):
+    """x as a LaurentQK if it is one or an exact rational, else
+    NotImplemented, so that the other operand's reflected method runs."""
     if isinstance(x, LaurentQK):
         return x
     if isinstance(x, (int, Fraction)):
         return LaurentQK.rational(x)
-    raise TypeError("cannot promote %r to LaurentQK" % (x,))
+    return NotImplemented
+
+
+def _promote(x):
+    out = _operand(x)
+    if out is NotImplemented:
+        raise TypeError("cannot promote %r to LaurentQK" % (x,))
+    return out
 
 
 def as_scalar(x):

@@ -16,7 +16,7 @@ threads; every operation returns a fresh object.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, mul, sub
 
 from .scalars import LaurentQK, as_scalar
 
@@ -64,20 +64,20 @@ def root_form(m):
     return tuple(m[j] - m[j - 1] for j in range(len(m)))
 
 
-def add_terms(terms, pairs):
-    """Add (key, value) pairs into the dict ``terms`` in place, dropping
-    every key whose sum is zero; returns ``terms``."""
+def add_terms(terms, pairs, op=add):
+    """Merge (key, value) pairs into the dict ``terms`` in place with op
+    (add, or sub to subtract the values), dropping every key whose result
+    is zero; returns ``terms``."""
     for key, value in pairs:
         prev = terms.get(key)
-        if prev is None:
-            if not value.is_zero:
-                terms[key] = value
-        else:
-            value = prev + value
-            if value.is_zero:
-                del terms[key]
-            else:
-                terms[key] = value
+        if prev is not None:
+            value = op(prev, value)
+        elif op is sub:
+            value = -value
+        if not value.is_zero:
+            terms[key] = value
+        elif prev is not None:
+            del terms[key]
     return terms
 
 
@@ -88,6 +88,18 @@ def com_quotient_canonicalize(mu):
     if last == 0:
         return tuple(mu)
     return tuple(e - last for e in mu)
+
+
+_UNITS = {}   # rank -> the shared unit denominator; read only
+
+
+def _unit(n):
+    """The constant polynomial 1 of rank n, one shared immutable instance
+    per rank: the denominator of every polynomial TorusRat."""
+    one = _UNITS.get(n)
+    if one is None:
+        one = _UNITS[n] = TorusPoly.one(n)
+    return one
 
 
 class TorusPoly:
@@ -136,18 +148,29 @@ class TorusPoly:
         if self.n != other.n:
             raise TorusError("mixed torus ranks %d and %d" % (self.n, other.n))
 
-    def __add__(self, other):
+    def _merged(self, other, op):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         self._check(other)
         return TorusPoly._wrap(
-            self.n, add_terms(dict(self.terms), other.terms.items()))
+            self.n, add_terms(dict(self.terms), other.terms.items(), op))
+
+    def __add__(self, other):
+        return self._merged(other, add)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return TorusPoly._wrap(self.n,
                                {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._merged(other, sub)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQK)):
@@ -159,6 +182,8 @@ class TorusPoly:
                     if not p.is_zero:
                         terms[e] = p
             return TorusPoly._wrap(self.n, terms)
+        if not isinstance(other, TorusPoly):
+            return NotImplemented
         self._check(other)
         return TorusPoly._wrap(self.n, add_terms(
             {}, ((vadd(e1, e2), c1 * c2)
@@ -172,7 +197,7 @@ class TorusPoly:
             return other
         if isinstance(other, (int, LaurentQK)):
             return TorusPoly.constant(self.n, other)
-        raise TypeError("cannot coerce %r" % (other,))
+        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, (int, LaurentQK)):
@@ -286,7 +311,7 @@ class TorusRat:
     def __init__(self, num, den=None):
         if den is None:
             # a polynomial over 1 is already normalized
-            self.num, self.den = num, TorusPoly.one(num.n)
+            self.num, self.den = num, _unit(num.n)
             return
         if num.n != den.n:
             raise TorusError("numerator and denominator rank mismatch")
@@ -328,14 +353,22 @@ class TorusRat:
             raise TorusError("not a polynomial: %s" % self.text())
         return self.num
 
-    def __add__(self, other):
+    def _merged(self, other, op):
         other = self._coerce(other)
-        if self.den == other.den:
+        if other is NotImplemented:
+            return other
+        den = self.den
+        if den is other.den or den == other.den:
             if self.is_polynomial():
-                return TorusRat(self.num + other.num)
-            return TorusRat(self.num + other.num, self.den)
-        return TorusRat(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
+                return TorusRat(op(self.num, other.num))
+            return TorusRat(op(self.num, other.num), den)
+        return TorusRat(op(self.num * other.den, other.num * den),
+                        den * other.den)
+
+    def __add__(self, other):
+        return self._merged(other, add)
+
+    __radd__ = __add__
 
     def __neg__(self):
         out = TorusRat.__new__(TorusRat)
@@ -343,12 +376,18 @@ class TorusRat:
         return out
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._merged(other, sub)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQK)):
             return TorusRat(self.num * other, self.den)
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         return TorusRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -359,7 +398,10 @@ class TorusRat:
         return TorusRat(self.den, self.num)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return self * other.inverse()
 
     def _coerce(self, other):
         if isinstance(other, TorusRat):
@@ -368,13 +410,12 @@ class TorusRat:
             return TorusRat(other)
         if isinstance(other, (int, LaurentQK)):
             return TorusRat(TorusPoly.constant(self.n, other))
-        raise TypeError("cannot coerce %r" % (other,))
+        return NotImplemented
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         return self.num * other.den == other.num * self.den
 
     __hash__ = None
@@ -417,7 +458,7 @@ class TorusRat:
 
 def _normalize(num, den):
     if num.is_zero:
-        return num, TorusPoly.one(num.n)
+        return num, _unit(num.n)
     shift = vneg(den.monomial_content())
     if any(shift):
         num = num.exp_shift(shift)

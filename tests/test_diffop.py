@@ -348,6 +348,130 @@ def test_family_commutators_take_the_signed_table(monkeypatch):
                 assert a.commutator(b).is_zero
 
 
+def test_family_differences_merge_without_negation(monkeypatch):
+    # a b - b a merges the terms of b a with a minus sign into a copy of
+    # a b at every layer: no negated copy, no scalar sum and no normalised
+    # quotient is made, and every difference is zero
+    families = [toda_family(5, affine) for affine in (False, True)]
+
+    def never(*args):
+        raise AssertionError("negated copy, sum or quotient in a difference")
+
+    for cls in (LaurentQK, TorusPoly, TorusRat):
+        monkeypatch.setattr(cls, "__neg__", never)
+    monkeypatch.setattr(LaurentQK, "__add__", never)
+    monkeypatch.setattr(torus, "_normalize", never)
+    for family in families:
+        for a in family:
+            for b in family:
+                assert (a.compose(b) - b.compose(a)).is_zero
+
+
+def laurents():
+    term = st.tuples(
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=-1, max_value=1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    return st.lists(term, max_size=3).map(
+        lambda ts: LaurentQK({(q2, k): c for q2, k, c in ts}))
+
+
+def sl_torus_polys(n=3):
+    exp = st.tuples(*[st.integers(min_value=-1, max_value=1)] * (n - 1)).map(
+        lambda head: head + (-sum(head),))
+    return st.dictionaries(exp, laurents(), max_size=3).map(
+        lambda terms: TorusPoly(n, terms))
+
+
+def torus_rats(n=3):
+    """Polynomials over 1 or over 1 + e^(lam), lam a root."""
+    def build(num, lam):
+        if lam is None:
+            return TorusRat(num)
+        return TorusRat(num, TorusPoly.monomial(n, lam) + 1)
+    return st.builds(build, sl_torus_polys(n), st.sampled_from(
+        [None, cyclic_root(n, 1), cyclic_root(n, 2), (1, 0, -1)]))
+
+
+DIFFERENCE_LAYERS = {
+    "scalar": lambda mode: laurents(),
+    "poly": lambda mode: sl_torus_polys(),
+    "rat": lambda mode: torus_rats(),
+    "diffop": lambda mode: st.one_of(
+        small_ops(mode=mode), rational_ops(mode=mode), weight_ops(3, mode)),
+}
+
+
+@pytest.mark.parametrize("layer,mode", [
+    ("scalar", GL), ("poly", GL), ("rat", GL), ("diffop", GL),
+    ("diffop", SL_QUOTIENT)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_difference_matches_sum_with_negation(layer, mode, data):
+    # y is independent of x, x itself, or x plus a perturbation, so that
+    # keys are shared and cancel
+    values = DIFFERENCE_LAYERS[layer](mode)
+    x = data.draw(values)
+    y = data.draw(st.one_of(values, st.just(x), values.map(lambda z: x + z)))
+    assert (x - y).to_json() == (x + (-y)).to_json()
+    assert (x - x).is_zero
+    assert (x - x).to_json() == (x + (-x)).to_json()
+
+
+# a value of each type with a non-unit denominator, and how a scalar lifts
+# to it
+E12 = TorusPoly.monomial(2, (1, -1))
+MIXED = {
+    "poly": (E12 * Q(1) + 2, lambda s: TorusPoly.constant(2, s)),
+    "rat": (TorusRat(E12, E12 + 1),
+            lambda s: TorusRat(TorusPoly.constant(2, s))),
+    "diffop": (DiffOp(2, {(1, 0): TorusRat(E12, E12 + 1), (0, 0): 3}),
+               lambda s: DiffOp(2, {(0, 0): s})),
+}
+
+
+@pytest.mark.parametrize("scalar", [3, Q(1)], ids=["int", "laurent"])
+@pytest.mark.parametrize("kind", sorted(MIXED))
+def test_scalar_arithmetic_in_every_order(kind, scalar):
+    x, lift = MIXED[kind]
+    c = lift(scalar)
+    for got, want in ((scalar + x, c + x), (x + scalar, x + c),
+                      (scalar - x, c - x), (x - scalar, x - c),
+                      (scalar * x, c * x), (x * scalar, x * c)):
+        assert type(got) is type(x)
+        assert got.to_json() == want.to_json()
+    assert (scalar - x).to_json() == (-(x - scalar)).to_json()
+
+
+@pytest.mark.parametrize("x", [ONE] + [x for x, _ in MIXED.values()],
+                         ids=["scalar"] + sorted(MIXED))
+def test_arithmetic_with_a_non_number_raises(x):
+    for fn in (lambda: x + "x", lambda: "x" + x, lambda: x - "x",
+               lambda: "x" - x, lambda: x * "x", lambda: x * 0.5):
+        with pytest.raises(TypeError):
+            fn()
+
+
+def test_function_times_operator_on_either_side():
+    # on the left a function multiplies every coefficient; on the right
+    # it moves past T_mu first: T_1 e^(z1 - z2) = q e^(z1 - z2) T_1
+    n = 2
+    t = DiffOp.shift(n, (1, 0))
+    g = TorusRat.monomial(n, (1, -1))
+    assert (g * t).to_json() == DiffOp(n, {(1, 0): g}).to_json()
+    assert (g.num * t).to_json() == (g * t).to_json()
+    assert (t * g).to_json() == DiffOp(n, {(1, 0): g * Q(1)}).to_json()
+    assert (t * g.num).to_json() == (t * g).to_json()
+    assert (t + g).to_json() == (g + t).to_json() == \
+        DiffOp(n, {(1, 0): 1, (0, 0): g}).to_json()
+    # a polynomial and a quotient mix in either order
+    r = TorusRat(E12, E12 + 1)
+    assert (E12 + r).to_json() == (r + E12).to_json() == \
+        TorusRat(E12 * E12 + E12 * 2, E12 + 1).to_json()
+    assert (E12 - r).to_json() == (-(r - E12)).to_json()
+    assert (E12 * r).to_json() == (r * E12).to_json()
+
+
 def test_compose_shift_past_coefficient():
     n = 2
     t1 = DiffOp.shift(n, (1, 0))

@@ -149,6 +149,23 @@ def test_rat_is_polynomial(den, want):
     assert want == (den == TorusPoly.one(N))
 
 
+@settings(max_examples=30, deadline=None)
+@given(sl_polys(), sl_polys())
+def test_rat_shares_one_unit_denominator(p, p2):
+    r = TorusRat(p)
+    assert r.den is TorusRat(p2).den
+    # a quotient that normalises to zero gets it too, another rank not
+    assert TorusRat(TorusPoly.zero(N), mono((1, -1, 0)) + 1).den is r.den
+    assert TorusRat(TorusPoly.one(2)).den.n == 2
+    # against a freshly built unit denominator nothing reads differently
+    fresh = TorusRat.__new__(TorusRat)
+    fresh.num, fresh.den = p, TorusPoly.one(N)
+    assert r.is_polynomial() and fresh.is_polynomial()
+    assert r == fresh and fresh == r
+    assert r.to_json() == fresh.to_json()
+    assert r.text() == fresh.text()
+
+
 def test_rat_shift_substitute_matches_poly():
     num = mono((1, 0, -1)) + mono((0, 1, -1)) * 2
     den = mono((1, -1, 0)) - 3
