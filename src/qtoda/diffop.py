@@ -89,11 +89,11 @@ def _product_slots(left, right):
 
 def _commutator_slots(left, right):
     """a b - b a on the lattice (see DiffOp._counted).  Both products pair
-    the same points to the same slot, so the pairs are counted first, +1
-    at (j, k, lam2 . mu1) and -1 at (j, k, lam1 . mu2); a pair whose two
-    pairings agree cancels on the spot, and only the counts that do not
-    sum to zero are expanded into scalar terms."""
-    slots = {}
+    the same points to the same slot (mu, lam, j, k), so the pairs are
+    counted first, +1 at (slot, lam2 . mu1) and -1 at (slot, lam1 . mu2);
+    a pair whose two pairings agree cancels on the spot, and only the
+    counts that do not sum to zero are expanded into scalar terms."""
+    counts = {}
     for mu1, lefts in left.items():
         for (lam2, j2, k2), rights in right.items():
             p = sum(map(mul, lam2, mu1))
@@ -101,19 +101,16 @@ def _commutator_slots(left, right):
                 for lam1, j1, k1 in lefts:
                     r = sum(map(mul, lam1, mu2))
                     if p != r:
-                        counts = slots.setdefault(
-                            tuple(map(add, mu1, mu2)), {}).setdefault(
-                                tuple(map(add, lam1, lam2)), {})
-                        j, k = j1 + j2, k1 + k2
-                        counts[j, k, p] = counts.get((j, k, p), 0) + 1
-                        counts[j, k, r] = counts.get((j, k, r), 0) - 1
-    for slot in slots.values():
-        for lam, counts in slot.items():
-            acc = slot[lam] = {}
-            for (j, k, p), count in counts.items():
-                if count:
-                    for key, c in _weight(j, k, p).items():
-                        acc[key] = acc.get(key, 0) + count * c
+                        v = (tuple(map(add, mu1, mu2)),
+                             tuple(map(add, lam1, lam2)), j1 + j2, k1 + k2)
+                        counts[v, p] = counts.get((v, p), 0) + 1
+                        counts[v, r] = counts.get((v, r), 0) - 1
+    slots = {}
+    for ((mu, lam, j, k), p), count in counts.items():
+        if count:
+            acc = slots.setdefault(mu, {}).setdefault(lam, {})
+            for key, c in _weight(j, k, p).items():
+                acc[key] = acc.get(key, 0) + count * c
     return slots
 
 
