@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +192,9 @@ def test_add_terms_drops_cancelled_keys():
                             ("b", one)])
     assert out is terms
     assert terms == {"b": LaurentQK.rational(3)}
+    # subtracting negates the keys only the pairs have
+    assert add_terms({"a": one}, [("a", one), ("b", two)], sub) == \
+        {"b": -two}
 
 
 def test_cyclic_roots():
