@@ -37,11 +37,11 @@ psi(x) f(x)^(-1), f a square-root symbol.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 
 from .scalars import LaurentQK
 from .torus import (
-    TorusPoly, TorusRat,
+    TermSum, TorusPoly, TorusRat,
     add_terms, check_vector, com_quotient_canonicalize, cyclic_root, dot,
     vadd,
 )
@@ -122,7 +122,7 @@ class UnresolvedFactorError(DiffOpError):
     """A gauge conjugation left unmatched formal factor symbols."""
 
 
-class DiffOp:
+class DiffOp(TermSum):
     __slots__ = ("n", "mode", "terms")
 
     def __init__(self, n, terms=None, mode=GL):
@@ -165,34 +165,11 @@ class DiffOp:
             coeff = TorusRat.one(n)
         return DiffOp(n, {tuple(mu): coeff}, mode)
 
-    # -- linear structure --------------------------------------------------
+    # -- linear structure (the rest is TermSum's) -------------------------
 
     def _check(self, other):
         if self.n != other.n or self.mode != other.mode:
             raise DiffOpError("operators live in different algebras")
-
-    def _merged(self, other, op):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        self._check(other)
-        return self._wrap(
-            add_terms(dict(self.terms), other.terms.items(), op))
-
-    def __add__(self, other):
-        return self._merged(other, add)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._wrap({mu: -f for mu, f in self.terms.items()})
-
-    def __sub__(self, other):
-        return self._merged(other, sub)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQK)):
@@ -205,14 +182,6 @@ class DiffOp:
         if isinstance(other, (int, LaurentQK, TorusRat, TorusPoly)):
             return self._scaled(other)
         return NotImplemented
-
-    def _scaled(self, g):
-        terms = {}
-        for mu, f in self.terms.items():
-            p = f * g
-            if not p.is_zero:
-                terms[mu] = p
-        return self._wrap(terms)
 
     def _coerce(self, other):
         """other as an operator of this algebra: a scalar or a function is
@@ -246,10 +215,6 @@ class DiffOp:
 
     def __hash__(self):
         return hash((self.n, self.mode, frozenset(self.terms)))
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     # -- algebra ----------------------------------------------------------
 
@@ -324,7 +289,7 @@ class DiffOp:
                 if acc:
                     poly[lam] = LaurentQK._wrap(acc)
             if poly:
-                terms[mu] = TorusRat(TorusPoly._wrap(n, poly))
+                terms[mu] = TorusRat(TorusPoly._of(n, poly))
         return self._wrap(terms)
 
     def gauge_monomial(self, lam):
@@ -470,7 +435,7 @@ def sect6_automorphism(op):
             p = q_power(_min_zero_lift(lam))
             images.setdefault(vadd(mu, lam), {})[lam] = \
                 c * LaurentQK.q(p) if p else c
-    return DiffOp(n, {nu: TorusPoly._wrap(n, acc)
+    return DiffOp(n, {nu: TorusPoly._of(n, acc)
                       for nu, acc in images.items()}, op.mode)
 
 

@@ -202,12 +202,11 @@ def _letter_data(w, cfg, symbolic_beta, raw):
     """(part key, root-sum exponent, scalar) of a word's letters: the
     normal-ordering q power, times the product of the character values
     beta_i unless they stay symbolic."""
-    scal_e, sorted_e = qp_normal_order(w.e_nodes, cfg.orientation,
-                                       side="left")
+    scal_e, sorted_e = qp_normal_order(w.e_nodes, cfg.orientation)
     # lowering word: plain-algebra element x_{k1}...x_{kn}, sorted
     # descending to pair with the ascending raising word
     scal_f, sorted_f = qp_normal_order(w.f_nodes, cfg.orientation,
-                                       side="left", descending=True)
+                                       descending=True)
     letters = tuple(sorted(sorted_e))
     if letters != tuple(sorted(sorted_f)):
         raise EngineInvariantError("letter multisets differ in %r" % (w,))
@@ -267,7 +266,7 @@ def whittaker_reduce(words, cfg, symbolic_beta=False, raw=True):
         shifts = parts.setdefault(key, {})
         add_terms(shifts.setdefault(mu, {}), ((lam, w.coeff * factor),))
     zero = DiffOp.zero(n, mode)
-    ops = {key: zero._wrap({mu: TorusRat(TorusPoly._wrap(n, poly))
+    ops = {key: zero._wrap({mu: TorusRat(TorusPoly._of(n, poly))
                             for mu, poly in shifts.items() if poly})
            for key, shifts in parts.items()}
     return ops if symbolic_beta else ops.get(None, zero)

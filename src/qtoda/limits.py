@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import HbarJet, LaurentQK, jet_divide, jet_expand
-from .torus import TorusPoly, add_terms, cyclic_root
+from .torus import TermSum, TorusPoly, add_terms, cyclic_root
 from .diffop import ROOT_WEIGHT, SL_QUOTIENT
 from .qrep import weyl_vector
 
@@ -30,7 +30,7 @@ def dual_coxeter(n):
     return n
 
 
-class DifferentialOp:
+class DifferentialOp(TermSum):
     """Finite sum of terms coefficient * d^gamma with torus-polynomial
     coefficients; gamma is a derivative multi-index."""
 
@@ -53,31 +53,23 @@ class DifferentialOp:
     def zero(n):
         return DifferentialOp(n, {})
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return DifferentialOp(
-            self.n, add_terms(dict(self.terms), other.terms.items()))
+    # -- linear structure (the rest is TermSum's) -------------------------
 
-    def __neg__(self):
-        return DifferentialOp(self.n, {g: -c for g, c in self.terms.items()})
+    def _wrap(self, terms):
+        out = DifferentialOp.__new__(DifferentialOp)
+        out.n, out.terms = self.n, terms
+        return out
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, scalar):
-        return DifferentialOp(
-            self.n, {g: c * scalar for g, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def _check(self, other):
+        if other.n != self.n:
+            raise LimitError("rank mismatch")
 
     def _coerce(self, other):
         if isinstance(other, DifferentialOp):
-            if other.n != self.n:
-                raise LimitError("rank mismatch")
             return other
         if isinstance(other, (int, LaurentQK)):
             return DifferentialOp(self.n, {(0,) * self.n: other})
-        raise TypeError("cannot coerce %r" % (other,))
+        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, DifferentialOp):
@@ -87,14 +79,10 @@ class DifferentialOp:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms)))
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def sl_reduce(self):
         """Eliminate the last derivative: d_N -> -(d_1 + ... + d_(N-1)),
         expanded multinomially, then recanonicalized."""
-        return DifferentialOp(self.n, add_terms({}, self._sl_terms()))
+        return self._wrap(add_terms({}, self._sl_terms()))
 
     def _sl_terms(self):
         n = self.n
@@ -188,25 +176,11 @@ def affine_classical_toda(n):
 # Operator-valued hbar jets
 # ---------------------------------------------------------------------------
 
-class OperatorJet:
-    """Truncated hbar expansion with DifferentialOp coefficients for the
-    orders 0..``order``."""
-
-    __slots__ = ("n", "order", "coeffs")
-
-    def __init__(self, n, order, coeffs):
-        self.n = n
-        self.order = order
-        self.coeffs = dict(coeffs)
-
-    def coeff(self, k):
-        return self.coeffs.get(k, DifferentialOp.zero(self.n))
-
-
 def difference_op_jet(op, order):
     """Expand a difference operator at q = e^hbar: every shift T_mu
     becomes the truncated exponential of hbar * (mu . d), and every scalar
-    is jet-expanded; coefficients must be polynomial."""
+    is jet-expanded; coefficients must be polynomial.  Returns the
+    DifferentialOp coefficients of hbar^0, ..., hbar^order."""
     n = op.n
     coeffs = [{} for _ in range(order + 1)]    # order -> {gamma: poly}
     for mu, f in op.terms.items():
@@ -224,8 +198,8 @@ def difference_op_jet(op, order):
                         (gamma, TorusPoly.monomial(
                             n, lam, s * Fraction(mult, fact)))
                         for gamma, mult in dir_pows[m].items()))
-    return OperatorJet(n, order, {k: DifferentialOp(n, terms)
-                                  for k, terms in enumerate(coeffs) if terms})
+    zero = DifferentialOp.zero(n)
+    return [zero._wrap(terms) for terms in coeffs]
 
 
 def _directional_powers(n, mu, order):
@@ -255,20 +229,19 @@ def quasiclassical_limit(op, dim_v):
     """
     if op.mode != SL_QUOTIENT:
         raise LimitError("quasiclassical limit expects a quotient-mode input")
-    n = op.n
     jet = difference_op_jet(op, 2)
-    const = jet.coeff(0) - DifferentialOp(n, {(0,) * n: dim_v})
+    const = jet[0] - dim_v
     if not const.is_zero:
         raise LimitError("constant term %s does not cancel the dimension"
                          % const.text())
     # (q - q^(-1))^2 = 4 hbar^2 + O(hbar^4); invert it divided by hbar^2
     c2 = jet_expand(-ROOT_WEIGHT, 3)
     inv = jet_divide(HbarJet.constant(1, 1), HbarJet(1, c2.coeffs[2:])).coeffs
-    residue = (jet.coeff(1) * inv[0]).sl_reduce()
+    residue = (jet[1] * inv[0]).sl_reduce()
     if not residue.is_zero:
         raise LimitError("hbar^(-1) part survives sl reduction: %s"
                          % residue.text())
-    return (jet.coeff(1) * inv[1] + jet.coeff(2) * inv[0]).sl_reduce()
+    return (jet[1] * inv[1] + jet[2] * inv[0]).sl_reduce()
 
 
 def classical_combination_fit(limit_op, target):

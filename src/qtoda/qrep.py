@@ -147,21 +147,17 @@ def build_orientation(n, affine=False):
 # Quantum polynomial algebra
 # ---------------------------------------------------------------------------
 
-def qp_normal_order(word, orientation, side="left", descending=False):
+def qp_normal_order(word, orientation, descending=False):
     """Normal-order a word in the quantum polynomial algebra.
 
     Bubble-sorts the word into ascending node order (descending=True for
     the reversed target), collecting one factor q^(+-b_ij) per adjacent
     transposition from the relation x_i x_j = q^(+-b_ij) x_j x_i, the sign
-    being + when the edge is oriented i -> j.  side="right" works in the
-    opposite algebra, which flips every collected sign.
+    being + when the edge is oriented i -> j.
 
     Returns (scalar, sorted word).
     """
-    if side not in ("left", "right"):
-        raise QRepError("side must be 'left' or 'right'")
     dynkin = orientation.dynkin
-    flip = -1 if side == "right" else 1
     word = list(word)
     scalar = LaurentQK.one()
     changed = True
@@ -173,7 +169,7 @@ def qp_normal_order(word, orientation, side="left", descending=False):
             if wrong:
                 # rewrite x_i x_j as q^(s b_ij) x_j x_i
                 if dynkin.adjacent(i, j):
-                    s = orientation.sign(i, j) * flip
+                    s = orientation.sign(i, j)
                     scalar = scalar * LaurentQK.q(s * dynkin.b(i, j))
                 word[a], word[a + 1] = j, i
                 changed = True

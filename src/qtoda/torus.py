@@ -12,6 +12,14 @@ changes a coefficient.
 
 Values are immutable after construction and safe to share between
 threads; every operation returns a fresh object.
+
+``TermSum`` is the linear structure that a torus polynomial shares with
+the difference operators (``diffop.DiffOp``) and the differential
+operators (``limits.DifferentialOp``): a dict of nonzero terms, added and
+subtracted by one merge (``add_terms``), negated, scaled and tested for
+zero in one place.  Each of the three types supplies only how a clean
+dict becomes one of its values, how another operand lifts to it, and
+its rank (and mode) check.
 """
 
 from __future__ import annotations
@@ -81,6 +89,64 @@ def add_terms(terms, pairs, op=add):
     return terms
 
 
+class TermSum:
+    """A finite sum of terms: ``terms`` maps keys to nonzero coefficients.
+
+    A subclass supplies ``_wrap(terms)``, a value of its own rank (and
+    mode) on a dict that is already clean; ``_coerce(other)``, the other
+    operand lifted to its type, or NotImplemented; and ``_check(other)``,
+    which raises unless a lifted operand has the same rank (and mode).
+    """
+
+    __slots__ = ()
+
+    def _merged(self, other, op):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        self._check(other)
+        return self._wrap(
+            add_terms(dict(self.terms), other.terms.items(), op))
+
+    def __add__(self, other):
+        return self._merged(other, add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._merged(other, sub)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
+
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, LaurentQK)):
+            return self._scaled(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _scaled(self, s):
+        """Every coefficient times s; products that vanish are dropped."""
+        terms = {}
+        for key, c in self.terms.items():
+            p = c * s
+            if not p.is_zero:
+                terms[key] = p
+        return self._wrap(terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+
 def com_quotient_canonicalize(mu):
     """Canonical representative of a shift modulo Z*(1,...,1): subtract the
     last entry, so canonical vectors end in 0."""
@@ -102,7 +168,7 @@ def _unit(n):
     return one
 
 
-class TorusPoly:
+class TorusPoly(TermSum):
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None, sl=False):
@@ -120,11 +186,11 @@ class TorusPoly:
 
     @staticmethod
     def zero(n):
-        return TorusPoly._wrap(n, {})
+        return TorusPoly._of(n, {})
 
     @staticmethod
     def one(n):
-        return TorusPoly._wrap(n, {(0,) * n: ONE})
+        return TorusPoly._of(n, {(0,) * n: ONE})
 
     @staticmethod
     def constant(n, scalar):
@@ -135,12 +201,15 @@ class TorusPoly:
         return TorusPoly(n, {tuple(exp): coeff})
 
     @staticmethod
-    def _wrap(n, terms):
-        """A polynomial on a dict that is already clean: checked exponent
-        keys and nonzero LaurentQK values; no copy, no checks."""
+    def _of(n, terms):
+        """A polynomial of rank n on a dict that is already clean: checked
+        exponent keys and nonzero LaurentQK values; no copy, no checks."""
         out = TorusPoly.__new__(TorusPoly)
         out.n, out.terms = n, terms
         return out
+
+    def _wrap(self, terms):
+        return TorusPoly._of(self.n, terms)
 
     # -- ring ops --------------------------------------------------------
 
@@ -148,44 +217,13 @@ class TorusPoly:
         if self.n != other.n:
             raise TorusError("mixed torus ranks %d and %d" % (self.n, other.n))
 
-    def _merged(self, other, op):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        self._check(other)
-        return TorusPoly._wrap(
-            self.n, add_terms(dict(self.terms), other.terms.items(), op))
-
-    def __add__(self, other):
-        return self._merged(other, add)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TorusPoly._wrap(self.n,
-                               {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self._merged(other, sub)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else other - self
-
     def __mul__(self, other):
         if isinstance(other, (int, LaurentQK)):
-            s = as_scalar(other)
-            terms = {}
-            if not s.is_zero:
-                for e, c in self.terms.items():
-                    p = c * s
-                    if not p.is_zero:
-                        terms[e] = p
-            return TorusPoly._wrap(self.n, terms)
+            return self._scaled(as_scalar(other))
         if not isinstance(other, TorusPoly):
             return NotImplemented
         self._check(other)
-        return TorusPoly._wrap(self.n, add_terms(
+        return self._wrap(add_terms(
             {}, ((vadd(e1, e2), c1 * c2)
                  for e1, c1 in self.terms.items()
                  for e2, c2 in other.terms.items())))
@@ -215,13 +253,6 @@ class TorusPoly:
             return hash(terms[(0,) * self.n])
         return hash((self.n, frozenset(terms.items())))
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
     # -- torus structure ----------------------------------------------
 
     def shift_substitute(self, mu):
@@ -231,7 +262,7 @@ class TorusPoly:
         for e, c in self.terms.items():
             p = dot(e, mu)
             terms[e] = c * LaurentQK.q(p) if p else c
-        return TorusPoly._wrap(self.n, terms)
+        return self._wrap(terms)
 
     def monomial_content(self):
         """Componentwise minimum of the exponent vectors (zero poly: origin)."""
@@ -243,8 +274,7 @@ class TorusPoly:
     def exp_shift(self, delta):
         """Multiply by the monomial e^(delta . z)."""
         delta = check_vector(delta, self.n)
-        return TorusPoly._wrap(
-            self.n, {vadd(e, delta): c for e, c in self.terms.items()})
+        return self._wrap({vadd(e, delta): c for e, c in self.terms.items()})
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading monomial."""
@@ -260,7 +290,7 @@ class TorusPoly:
             c2 = fn(c)
             if not c2.is_zero:
                 terms[e] = c2
-        return TorusPoly._wrap(self.n, terms)
+        return self._wrap(terms)
 
     def is_sl(self):
         return all(sum(e) == 0 for e in self.terms)
@@ -416,7 +446,8 @@ class TorusRat:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self.num * other.den == other.num * self.den
+        return self.n == other.n and \
+            self.num * other.den == other.num * self.den
 
     __hash__ = None
 

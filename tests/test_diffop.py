@@ -17,6 +17,7 @@ from qtoda.diffop import (
     conjugate_by_factor_product, cyclic_root, sect6_automorphism,
 )
 from qtoda.engine import build_toda_operator, toda_family
+from qtoda.limits import DifferentialOp
 
 GOLDEN = osp.join(osp.dirname(osp.abspath(__file__)), "golden")
 GOLDEN_AUT = osp.join(GOLDEN, "automorphism")
@@ -393,18 +394,26 @@ def torus_rats(n=3):
         [None, cyclic_root(n, 1), cyclic_root(n, 2), (1, 0, -1)]))
 
 
+def differential_ops(n=3):
+    """Derivative indices up to order 2 with sl-torus coefficients."""
+    gamma = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
+    return st.dictionaries(gamma, sl_torus_polys(n), max_size=3).map(
+        lambda terms: DifferentialOp(n, terms))
+
+
 DIFFERENCE_LAYERS = {
     "scalar": lambda mode: laurents(),
     "poly": lambda mode: sl_torus_polys(),
     "rat": lambda mode: torus_rats(),
     "diffop": lambda mode: st.one_of(
         small_ops(mode=mode), rational_ops(mode=mode), weight_ops(3, mode)),
+    "differential": lambda mode: differential_ops(),
 }
 
 
 @pytest.mark.parametrize("layer,mode", [
     ("scalar", GL), ("poly", GL), ("rat", GL), ("diffop", GL),
-    ("diffop", SL_QUOTIENT)])
+    ("diffop", SL_QUOTIENT), ("differential", GL)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_difference_matches_sum_with_negation(layer, mode, data):
@@ -419,7 +428,8 @@ def test_difference_matches_sum_with_negation(layer, mode, data):
 
 
 # a value of each type with a non-unit denominator, and how a scalar lifts
-# to it
+# to it; a differential operator has no product with its constants, so
+# there the scalar stays a LaurentQK
 E12 = TorusPoly.monomial(2, (1, -1))
 MIXED = {
     "poly": (E12 * Q(1) + 2, lambda s: TorusPoly.constant(2, s)),
@@ -427,6 +437,9 @@ MIXED = {
             lambda s: TorusRat(TorusPoly.constant(2, s))),
     "diffop": (DiffOp(2, {(1, 0): TorusRat(E12, E12 + 1), (0, 0): 3}),
                lambda s: DiffOp(2, {(0, 0): s})),
+    "differential": (DifferentialOp(2, {(1, 0): E12 * Q(1) + 2, (0, 0): 3}),
+                     lambda s: LaurentQK.rational(s)
+                     if isinstance(s, int) else s),
 }
 
 
@@ -443,13 +456,24 @@ def test_scalar_arithmetic_in_every_order(kind, scalar):
     assert (scalar - x).to_json() == (-(x - scalar)).to_json()
 
 
-@pytest.mark.parametrize("x", [ONE] + [x for x, _ in MIXED.values()],
+@pytest.mark.parametrize("x", [ONE] + [MIXED[k][0] for k in sorted(MIXED)],
                          ids=["scalar"] + sorted(MIXED))
 def test_arithmetic_with_a_non_number_raises(x):
     for fn in (lambda: x + "x", lambda: "x" + x, lambda: x - "x",
                lambda: "x" - x, lambda: x * "x", lambda: x * 0.5):
         with pytest.raises(TypeError):
             fn()
+
+
+@pytest.mark.parametrize("make", [
+    TorusPoly.one, TorusRat.one, DiffOp.identity,
+    lambda n: DifferentialOp(n, {(0,) * n: 1})],
+    ids=["poly", "rat", "diffop", "differential"])
+def test_rank_mismatch_compares_unequal(make):
+    # the same value at ranks 2 and 3: unequal either way round, no error
+    a, b = make(2), make(3)
+    assert not a == b and not b == a
+    assert a != b and b != a
 
 
 def test_function_times_operator_on_either_side():

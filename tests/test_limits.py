@@ -6,7 +6,7 @@ import pytest
 from qtoda.scalars import LaurentQK, jet_expand
 from qtoda.torus import TorusPoly
 from qtoda.diffop import DiffOp, SL_QUOTIENT
-from qtoda.engine import build_toda_operator
+from qtoda.engine import build_toda_operator, toda_family
 from qtoda.limits import (
     DifferentialOp, LimitError, SinhTerm, affine_classical_toda,
     classical_combination_fit, classical_toda, cm_limit, difference_op_jet,
@@ -84,7 +84,7 @@ def test_jet_of_shift_matches_scalar_jet():
         pairing = sum(a * b for a, b in zip(lam, mu))
         sjet = jet_expand(Q(pairing), order)
         for k in range(order + 1):
-            got = jet.coeff(k).apply_to_monomial(lam)
+            got = jet[k].apply_to_monomial(lam)
             want = TorusPoly.monomial(n, lam, sjet.coeffs[k])
             assert got == want, (lam, mu, k)
 
@@ -141,6 +141,40 @@ def test_quasiclassical_higher_fundamentals(n, k, c_expected):
     c, g = fit
     assert c == LaurentQK.rational(c_expected)
     assert g == LaurentQK.zero()
+
+
+def test_built_differential_ops_skip_the_constructor_checks(monkeypatch):
+    # jets, sums, differences, negation, scaling and sl_reduce wrap what
+    # they build; only outside input goes through the constructor's checks
+    n = 4
+    finite, affine = toda_family(n), toda_family(n, True)
+    target = classical_toda(n)
+    checked = DifferentialOp._checked
+
+    def refuse(self, terms):
+        raise AssertionError("a built result was checked again")
+
+    monkeypatch.setattr(DifferentialOp, "_checked", refuse)
+    for op in finite + affine:
+        for d in difference_op_jet(op, 2):
+            assert (d + target) - target == d
+            assert -(d - target) == target - d
+            assert d * 2 == d + d and (d * Q(1) * 0).is_zero
+            assert (d + d).sl_reduce() == d.sl_reduce() * 2
+    # the limit checks its one outside input, the constant dim_v
+    calls = []
+
+    def counted(self, terms):
+        calls.append(1)
+        return checked(self, terms)
+
+    monkeypatch.setattr(DifferentialOp, "_checked", counted)
+    cases = [(op, comb(n, k)) for k, op in enumerate(finite, 1)]
+    cases.append((affine[0], n))
+    for op, dim_v in cases:
+        calls.clear()
+        quasiclassical_limit(op, dim_v)
+        assert len(calls) <= 1
 
 
 def test_combination_fit_rejects_wrong_candidate():

@@ -53,9 +53,6 @@ def test_qp_normal_order_single_relation():
     assert word == (1, 3) and scal == LaurentQK.one()
     scal, word = qp_normal_order((1, 2, 3), o)
     assert word == (1, 2, 3) and scal == LaurentQK.one()
-    # opposite algebra flips the collected power
-    scal, word = qp_normal_order((2, 1), o, side="right")
-    assert word == (1, 2) and scal == Q(-1)
 
 
 def test_qp_normal_order_is_confluent():

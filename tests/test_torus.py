@@ -134,7 +134,7 @@ def test_rat_field_ops():
 @pytest.mark.parametrize("den, want", [
     (TorusPoly.one(N), True),
     # a one whose value is Fraction(1) rather than int 1
-    (TorusPoly._wrap(N, {(0,) * N: LaurentQK._wrap({(0, 0): Fraction(1)})}),
+    (TorusPoly._of(N, {(0,) * N: LaurentQK._wrap({(0, 0): Fraction(1)})}),
      True),
     (TorusPoly.constant(N, 2), False),
     (TorusPoly.constant(N, Q(1)), False),
