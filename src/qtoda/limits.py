@@ -6,6 +6,12 @@ coefficients, truncated hbar expansions of difference operators (shift
 operators become exponentials of derivatives), and the steepest-growth
 limits of the trigonometric and elliptic inverse-sinh-squared models.
 
+A differential operator takes its sums, differences, negation and
+scaling from ``torus.TermSum``, as torus polynomials and difference
+operators do.  What it builds itself (those results, ``sl_reduce`` and
+the jet coefficients) is wrapped without a second check; its
+constructor checks outside input only.
+
 Type A constants live here: the dual Coxeter number equals N, and the
 lowest root -theta = e_N - e_1 is the cyclic root alpha_N.
 """
