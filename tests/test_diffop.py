@@ -1,3 +1,5 @@
+import copy
+import glob
 import hashlib
 import json
 import os.path as osp
@@ -12,6 +14,7 @@ from qtoda.cli import canonical_json
 from qtoda.torus import (
     TorusPoly, TorusRat, com_quotient_canonicalize, root_form, vadd,
 )
+from qtoda.degenerations import macdonald_operator
 from qtoda.diffop import (
     GL, ROOT_WEIGHT, SL_QUOTIENT, DiffOp, DiffOpError, UnresolvedFactorError,
     conjugate_by_factor_product, cyclic_root, sect6_automorphism,
@@ -126,6 +129,66 @@ def test_product_goldens(n, affine):
             got["%sk%dxk%d" % (tag, i, j)] = \
                 hashlib.sha256(text.encode()).hexdigest()
     assert got == want
+
+
+def checked_dumps(data):
+    # the canonical text with json's circular-reference check left on
+    return json.dumps(copy.deepcopy(data), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
+SERIALIZED_GOLDENS = sorted(
+    glob.glob(osp.join(GOLDEN, "operators", "toda_*.json"))
+    + glob.glob(osp.join(GOLDEN, "raw", "toda_*.json")))
+
+
+@pytest.mark.parametrize("path", SERIALIZED_GOLDENS,
+                         ids=lambda p: "/".join(p.split(osp.sep)[-2:]))
+def test_serializer_reproduces_goldens(path):
+    with open(path) as fh:
+        text = fh.read()
+    data = DiffOp.from_json(json.loads(text)).to_json()
+    assert canonical_json(data) == text
+    assert checked_dumps(data) == text
+
+
+def test_serializer_on_rational_and_shared_scalars():
+    # non-unit denominators, and terms that hold one LaurentQK object: the
+    # operator's JSON equals the one rendered coefficient by coefficient
+    c = Q(1) - LaurentQK.k(2)
+    shared = DiffOp(3, {
+        (2, 0, 0): root_mono(3, (1, -1, 0), c),
+        (0, 2, 0): root_mono(3, (0, 1, -1), c),
+        (0, 0, 2): TorusRat(TorusPoly(3, {(0, 0, 0): c, (1, 0, -1): c})),
+    }, GL)
+    assert all(c_ is c for f in shared.terms.values()
+               for c_ in f.num.terms.values())
+    rational = macdonald_operator(3)
+    assert any(not f.is_polynomial() for f in rational.terms.values())
+    for op in (shared, rational):
+        data = op.to_json()
+        want = {"N": op.n, "mode": op.mode,
+                "terms": [dict(op.terms[mu].to_json(), shift=list(mu))
+                          for mu in sorted(op.terms)]}
+        assert data == want
+        text = canonical_json(data)
+        assert text == checked_dumps(data) == checked_dumps(want)
+        assert canonical_json(DiffOp.from_json(data).to_json()) == text
+
+
+def test_to_json_returns_fresh_structures():
+    # mutating one call's result leaves the next call's result alone
+    op = build_toda_operator(4, 2, affine=True)
+    first = op.to_json()
+    text = canonical_json(first)
+    record = first["terms"][0]
+    record["num"][0]["coeff"][0][2] = 99
+    record["num"][0]["coeff"].append([1, 0, 1, 1])
+    record["den"][0]["coeff"].append([1, 0, 1, 1])
+    assert canonical_json(first) != text
+    second = op.to_json()
+    assert second["terms"][0]["num"][0]["coeff"] != record["num"][0]["coeff"]
+    assert canonical_json(second) == text
 
 
 @pytest.mark.parametrize("mode", [GL, SL_QUOTIENT])

@@ -80,6 +80,23 @@ def test_raw_operator_goldens(n, k, affine):
     assert canonical_json(op.to_json()) == want
 
 
+@pytest.mark.parametrize("raw", [False, True], ids=["gauged", "raw"])
+@pytest.mark.parametrize("n", [7, 8])
+def test_operator_digests(n, raw):
+    # sha256 of the canonical JSON of every engine operator at N=7 and 8,
+    # past the byte-for-byte goldens, which stop at N=6
+    with open(osp.join(GOLDEN, "operators_sha256.json")) as fh:
+        want = json.load(fh)
+    for k in range(1, n):
+        for affine in (False, True):
+            name = "n%d_k%d_%s%s" % (n, k, "affine" if affine else "finite",
+                                     "_raw" if raw else "")
+            op = build_toda_operator(n, k, affine, raw=raw)
+            text = canonical_json(op.to_json())
+            assert hashlib.sha256(text.encode()).hexdigest() == want[name], \
+                name
+
+
 def test_trace_word_digests():
     # every trace word, its coefficient and its position in the list: a
     # reordered or dropped word changes the digest
@@ -281,6 +298,29 @@ def test_symbolic_beta_grading():
             plain[bool(beta)] = whittaker_reduce(words, cfg)
             assert total == plain[bool(beta)]
         assert plain[True] != plain[False]
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["gauged", "raw"])
+@pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
+def test_symbolic_beta_digests(affine, raw):
+    # sha256 of the canonical JSON of every graded part at N=4, every k,
+    # keyed by its matched letter set
+    n = 4
+    with open(osp.join(GOLDEN, "symbolic_sha256.json")) as fh:
+        data = json.load(fh)
+    family = "%s%s" % ("affine" if affine else "finite", "_raw" if raw else "")
+    want = {key: digest for key, digest in data.items()
+            if key.split("/")[0].split("_", 2)[2] == family}
+    got = {}
+    for k in range(1, n):
+        cfg = EngineConfig(n=n, k=k, affine=affine)
+        words = expand_central_words(fundamental_rep(n, k, affine), cfg)
+        graded = whittaker_reduce(words, cfg, symbolic_beta=True, raw=raw)
+        for key, part in graded.items():
+            name = "n%d_k%d_%s/%s" % (n, k, family, ",".join(map(str, key)))
+            text = canonical_json(part.to_json())
+            got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert want and got == want
 
 
 def test_orientation_extension_independence():
