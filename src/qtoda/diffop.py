@@ -349,16 +349,19 @@ class DiffOp(TermSum):
         return "  +  ".join(lines)
 
     def to_json(self):
-        return {
-            "N": self.n,
-            "mode": self.mode,
-            "terms": [
-                {"shift": list(mu),
-                 "num": self.terms[mu].num.to_json(),
-                 "den": self.terms[mu].den.to_json()}
-                for mu in sorted(self.terms)
-            ],
-        }
+        """Within one call each distinct scalar object, and each distinct
+        denominator (most are the shared unit), is rendered once and its
+        JSON form reused; every call returns fresh structures."""
+        forms = {}   # id of a scalar or a denominator -> its JSON form
+        terms = []
+        for mu in sorted(self.terms):
+            f = self.terms[mu]
+            den = forms.get(id(f.den))
+            if den is None:
+                den = forms[id(f.den)] = f.den.to_json(forms)
+            terms.append({"shift": list(mu), "num": f.num.to_json(forms),
+                          "den": den})
+        return {"N": self.n, "mode": self.mode, "terms": terms}
 
     @staticmethod
     def from_json(data):

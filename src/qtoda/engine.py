@@ -27,10 +27,13 @@ into the reduction: the gauge multiplies T_(front+back) by
 q^(-rho . (front + back)), so a word's power of q from the rho diagonal
 and the gauge together is q^(rho . (back - front)), one integer doubled
 exponent; the quotient files the word under the canonical representative
-of its shift.  A word then costs one scalar product, its coefficient
-times a factor (normal-ordering power, character values, that q power)
-computed once per distinct letters and exponent; in a gauged build the
-exponent is 2 rho . (sum of the raising roots), fixed by the letters.
+of its shift.  A word's scalar is its coefficient times a factor
+(normal-ordering power, character values, that q power).  The letter
+data is computed once per distinct letters, the factor once per letters
+and exponent, and the product once per distinct (coefficient, factor)
+pair, so a build multiplies once per coefficient class, not per word;
+in a gauged build the exponent is 2 rho . (sum of the raising roots),
+fixed by the letters.
 The raw reduction skips both steps.  Each shift's terms are summed in
 place, so the operator is wrapped once, without a second pass over its
 terms; the zero-sum check on each word's root sum is what keeps the
@@ -242,8 +245,12 @@ def whittaker_reduce(words, cfg, symbolic_beta=False, raw=True):
     n = cfg.n
     mode = GL if raw else SL_QUOTIENT
     rho2 = {}      # weight -> 2 rho . weight
-    factors = {}   # (raising, lowering letters, doubled q exponent)
+    letters = {}   # (raising, lowering letters)
     #                -> (part key, root-sum exponent, scalar)
+    factors = {}   # (those letters, doubled q exponent x)
+    #                -> (part key, root-sum exponent, scalar q^(x/2))
+    products = {}  # ids of (coefficient, factor) -> (coefficient,
+    #                product); factors and this dict keep the ids valid
     parts = {}     # letter set (None when evaluated) -> shift -> exp -> scalar
     for w in words:
         if w.z_degree != 0:
@@ -254,17 +261,23 @@ def whittaker_reduce(words, cfg, symbolic_beta=False, raw=True):
             if v not in rho2:
                 rho2[v] = rho_pairing2(n, v)
         x = 2 * rho2[post] if raw else rho2[post] - rho2[pre]
-        data = factors.get((w.e_nodes, w.f_nodes, x))
+        pair = w.e_nodes, w.f_nodes
+        data = factors.get((pair, x))
         if data is None:
-            key, lam, scalar = _letter_data(w, cfg, symbolic_beta, raw)
-            data = factors[w.e_nodes, w.f_nodes, x] = \
-                key, lam, scalar * LaurentQK.q_half(x)
+            if pair not in letters:
+                letters[pair] = _letter_data(w, cfg, symbolic_beta, raw)
+            key, lam, scalar = letters[pair]
+            data = factors[pair, x] = key, lam, scalar * LaurentQK.q_half(x)
         key, lam, factor = data
+        c = w.coeff
+        held = products.get((id(c), id(factor)))
+        if held is None:
+            held = products[id(c), id(factor)] = c, c * factor
         mu = vadd(pre, post)
         if not raw:
             mu = com_quotient_canonicalize(mu)
         shifts = parts.setdefault(key, {})
-        add_terms(shifts.setdefault(mu, {}), ((lam, w.coeff * factor),))
+        add_terms(shifts.setdefault(mu, {}), ((lam, held[1]),))
     zero = DiffOp.zero(n, mode)
     ops = {key: zero._wrap({mu: TorusRat(TorusPoly._of(n, poly))
                             for mu, poly in shifts.items() if poly})

@@ -316,8 +316,14 @@ class TorusPoly(TermSum):
                 parts.append("(%s)" % ct)
         return " + ".join(parts)
 
-    def to_json(self):
-        return [{"exp": list(e), "coeff": c.to_json()}
+    def to_json(self, forms=None):
+        """One record per term, in exponent order.  ``forms`` maps id(c) to
+        the JSON form of a scalar c that its caller keeps alive."""
+        forms = {} if forms is None else forms
+        for c in self.terms.values():
+            if id(c) not in forms:
+                forms[id(c)] = c.to_json()
+        return [{"exp": list(e), "coeff": forms[id(c)]}
                 for e, c in sorted(self.terms.items())]
 
     @staticmethod
