@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os.path as osp
 
 import pytest
@@ -19,8 +21,8 @@ from qtoda.degenerations import (
 Q = LaurentQK.q
 C2 = (Q(1) - Q(-1)) ** 2
 
-GOLDEN_REL = osp.join(osp.dirname(osp.abspath(__file__)), "golden",
-                      "relativistic")
+GOLDEN = osp.join(osp.dirname(osp.abspath(__file__)), "golden")
+GOLDEN_REL = osp.join(GOLDEN, "relativistic")
 
 
 def test_macdonald_operator_smallest():
@@ -71,6 +73,21 @@ def test_macdonald_coefficients_permute_with_indices():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_macdonald_toda_limit(n):
     assert macdonald_toda_limit(n) == macdonald_limit_closed_form(n)
+
+
+def test_macdonald_limit_digests():
+    # sha256 of the canonical JSON and of the text of every drift limit
+    # at N=2..10, past the byte-for-byte goldens, which stop at N=4
+    with open(osp.join(GOLDEN, "macdonald_limit_sha256.json")) as fh:
+        want = json.load(fh)
+    got = {}
+    for n in range(2, 11):
+        op = macdonald_toda_limit(n)
+        for kind, text in (("json", canonical_json(op.to_json())),
+                           ("text", op.text())):
+            got["n%d_%s" % (n, kind)] = \
+                hashlib.sha256(text.encode()).hexdigest()
+    assert got == want
 
 
 def test_macdonald_limit_closed_form_smallest():
