@@ -7,7 +7,10 @@ Three families of checks live here:
     monomial conjugation, the drift substitution w_i = z_i + 2 hbar i P,
     and the exact P -> infinity limit recovering the q-Toda form.  With
     u = e^(2 hbar P) = t the limit only needs the top u-degree parts of
-    each coefficient's numerator and denominator;
+    each coefficient's numerator and denominator.  The u-grading is
+    multiplicative and the coefficient ring is an integral domain, so
+    those are the products of the top parts of the factors, and the
+    limit never forms the rational product;
 
   * exact transcriptions of the first-operator forms in shift-invariant
     coordinates, their image under the generator automorphism, and the
@@ -47,30 +50,31 @@ class DegenerationError(ArithmeticError):
 # Macdonald-type operator and its q-Toda limit
 # ---------------------------------------------------------------------------
 
-def macdonald_operator(n):
-    """sum_i prod_(j != i) (t e^(w_i) - e^(w_j))/(e^(w_i) - e^(w_j)) T_i^2
-    with the symbolic parameter t = q^(2k) carried in the K slot."""
+def _macdonald_factors(n):
+    """Yield (i, mu, pairs) for i = 1..N, with T^mu = T_i^2: the
+    (numerator, denominator) factor pairs
+    (t e^(w_i) - e^(w_j), e^(w_i) - e^(w_j)), j != i, of the T_i^2
+    coefficient, with the symbolic parameter t = q^(2k) in the K slot."""
     if n < 2:
         raise DegenerationError("need N >= 2")
     t = LaurentQK.k(1)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    e = [TorusPoly.monomial(n, v) for v in units]
+    te = [TorusPoly.monomial(n, v, t) for v in units]
+    for i in range(n):
+        yield i + 1, tuple(2 * x for x in units[i]), \
+            [(te[i] - e[j], e[i] - e[j]) for j in range(n) if j != i]
+
+
+def macdonald_operator(n):
+    """sum_i prod_(j != i) (t e^(w_i) - e^(w_j))/(e^(w_i) - e^(w_j)) T_i^2
+    with the symbolic parameter t = q^(2k) carried in the K slot."""
     op = DiffOp.zero(n, GL)
-    for i in range(1, n + 1):
+    for _, mu, pairs in _macdonald_factors(n):
         coeff = TorusRat.one(n)
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            ei = [0] * n
-            ej = [0] * n
-            ei[i - 1] = 1
-            ej[j - 1] = 1
-            num = TorusPoly.monomial(n, tuple(ei), t) \
-                - TorusPoly.monomial(n, tuple(ej))
-            den = TorusPoly.monomial(n, tuple(ei)) \
-                - TorusPoly.monomial(n, tuple(ej))
+        for num, den in pairs:
             coeff = coeff * TorusRat(num, den)
-        mu = [0] * n
-        mu[i - 1] = 2
-        op = op + DiffOp(n, {tuple(mu): coeff}, GL)
+        op = op + DiffOp(n, {mu: coeff}, GL)
     return op
 
 
@@ -101,15 +105,25 @@ def macdonald_toda_limit(n):
     top u-parts of numerator and denominator give the limit on a degree
     tie, a lower numerator degree gives no term, a higher one diverges.
 
+    The top u-part of a product is the product of the top u-parts, and
+    its degree the sum of theirs: the coefficients lie in the integral
+    domain Z[q^(+-1), t^(+-1)][e^(+-w)], where no product of top parts
+    vanishes.  So the limit is taken factor by factor over the pairs of
+    ``_macdonald_factors``, at the cost of O(N^2) small products, and the
+    whole rational coefficient of ``macdonald_operator`` is never formed.
+
     The limit is  T_N^2 + sum_(i<N) (1 - e^(z_i - z_(i+1))) T_i^2  in
     shift-invariant coordinates.
     """
     terms = {}
-    for mu, coeff in macdonald_operator(n).terms.items():
-        i = next(j + 1 for j in range(n) if mu[j])
-        dn, num = _top_drift_part(coeff.num)
-        dd, den = _top_drift_part(coeff.den)
-        dn -= i - 1
+    for i, mu, pairs in _macdonald_factors(n):
+        dn, dd = -(i - 1), 0
+        num = den = TorusPoly.one(n)
+        for f, g in pairs:
+            df, pf = _top_drift_part(f)
+            dg, pg = _top_drift_part(g)
+            dn, num = dn + df, num * pf
+            dd, den = dd + dg, den * pg
         if dn > dd:
             raise DegenerationError(
                 "divergent coefficient: u-degree %d over %d" % (dn, dd))

@@ -70,7 +70,7 @@ def test_macdonald_coefficients_permute_with_indices():
     assert permuted == op
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 10))
 def test_macdonald_toda_limit(n):
     assert macdonald_toda_limit(n) == macdonald_limit_closed_form(n)
 
@@ -109,19 +109,73 @@ def test_macdonald_limit_rules_on_hand_coefficients(monkeypatch):
     t = LaurentQK.k(1)
     e1 = TorusPoly.monomial(n, (1, 0))
     e2 = TorusPoly.monomial(n, (0, 1))
-    hand = DiffOp(n, {(2, 0): TorusRat(e1 * t - e2, e1 - e2),
-                      (0, 2): TorusRat(e1, e2 - e1)}, GL)
-    monkeypatch.setattr(degenerations, "macdonald_operator", lambda n: hand)
+    hand = [(1, (2, 0), [(e1 * t - e2, e1 - e2)]),
+            (2, (0, 2), [(e1, e2 - e1)])]
+    monkeypatch.setattr(degenerations, "_macdonald_factors", lambda n: hand)
     want = DiffOp(n, {(2, 0): TorusRat(e1 - e2, -e2)}, SL_QUOTIENT)
     assert macdonald_toda_limit(n) == want
     # T_1^2: t e2 / e1 has u-degree 1 + 2 - 1 = 2 over 0 (higher)
-    hand = DiffOp(n, {(2, 0): TorusRat(e2 * t, e1)}, GL)
+    hand[:] = [(1, (2, 0), [(TorusPoly.monomial(n, (-1, 1), t),
+                             TorusPoly.one(n))])]
     with pytest.raises(DegenerationError,
                        match="divergent coefficient: u-degree 2 over 0"):
         macdonald_toda_limit(n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def whole_product_limit(n):
+    """The drift limit read off the whole rational coefficients of
+    macdonald_operator(n): the top u-parts of each numerator and
+    denominator, under the same tie / lower / higher rule."""
+    terms = {}
+    for mu, coeff in macdonald_operator(n).terms.items():
+        i = next(j + 1 for j in range(n) if mu[j])
+        dn, num = degenerations._top_drift_part(coeff.num)
+        dd, den = degenerations._top_drift_part(coeff.den)
+        dn -= i - 1
+        if dn > dd:
+            raise DegenerationError(
+                "divergent coefficient: u-degree %d over %d" % (dn, dd))
+        if dn == dd:
+            terms[mu] = TorusRat(num, den)
+    return DiffOp(n, terms, SL_QUOTIENT)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_macdonald_limit_matches_whole_product(n):
+    # factor by factor equals the top u-parts of the whole product
+    assert canonical_json(macdonald_toda_limit(n).to_json()) == \
+        canonical_json(whole_product_limit(n).to_json())
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+def test_macdonald_limit_sees_a_moved_parameter(monkeypatch, n, last):
+    # (t e^(w_i) - e^(w_j)) -> (e^(w_i) - t e^(w_j)) in one factor changes
+    # its top u-part and degree: in T_1^2 (j = 2) the coefficient
+    # diverges, in T_N^2 (j = N-1) the term drops
+    i, j = (n, n - 1) if last else (1, 2)
+    t = LaurentQK.k(1)
+    ei, ej = (TorusPoly.monomial(n, tuple(int(k == m - 1) for k in range(n)))
+              for m in (i, j))
+    factors = degenerations._macdonald_factors
+
+    def moved(n):
+        for row, mu, pairs in factors(n):
+            if row == i:
+                k = j - 1 if j < i else j - 2      # the pair of this j
+                assert pairs[k] == (ei * t - ej, ei - ej)
+                pairs[k] = (ei - ej * t, ei - ej)
+            yield row, mu, pairs
+
+    monkeypatch.setattr(degenerations, "_macdonald_factors", moved)
+    if last:
+        assert macdonald_toda_limit(n) != macdonald_limit_closed_form(n)
+    else:
+        with pytest.raises(DegenerationError, match="divergent"):
+            macdonald_toda_limit(n)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
 def test_macdonald_limit_shift_consistency(n):
     # after the variable shift z_j -> z_j + j*c with e^(-c) = (q-q^(-1))^2
     # the limiting operator is the simplified finite form
