@@ -1,8 +1,12 @@
+import hashlib
+import json
+import os.path as osp
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from qtoda.cli import canonical_json
 from qtoda.scalars import LaurentQK, jet_expand
 from qtoda.torus import TorusPoly
 from qtoda.diffop import DiffOp, SL_QUOTIENT
@@ -15,6 +19,12 @@ from qtoda.limits import (
 
 Q = LaurentQK.q
 HALF = Fraction(1, 2)
+GOLDEN = osp.join(osp.dirname(__file__), "golden")
+
+
+def digest(value):
+    return hashlib.sha256(
+        canonical_json(value.to_json()).encode()).hexdigest()
 
 
 def test_classical_toda_smallest():
@@ -87,6 +97,42 @@ def test_jet_of_shift_matches_scalar_jet():
             got = jet[k].apply_to_monomial(lam)
             want = TorusPoly.monomial(n, lam, sjet.coeffs[k])
             assert got == want, (lam, mu, k)
+
+
+with open(osp.join(GOLDEN, "jets_sha256.json")) as fh:
+    JET_DIGESTS = json.load(fh)
+
+
+@pytest.mark.parametrize("affine", [False, True], ids=["finite", "affine"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_jet_goldens(n, affine):
+    # sha256 of the canonical JSON of every hbar^j coefficient of the
+    # order-2 and order-N jets of every engine operator at N = 2..6
+    tag = "n%d-%s-" % (n, "affine" if affine else "finite")
+    want = {key: d for key, d in JET_DIGESTS.items() if key.startswith(tag)}
+    got = {}
+    for k, op in enumerate(toda_family(n, affine), 1):
+        for order in sorted({2, n}):
+            for j, d in enumerate(difference_op_jet(op, order)):
+                got["%sk%d-o%d-h%d" % (tag, k, order, j)] = digest(d)
+    assert got == want
+
+
+def test_quasiclassical_goldens():
+    # sha256 of every quasiclassical limit the quasiclassical suite takes
+    # at N = 2..7: the first operator of both families, then every higher
+    # operator of the finite one
+    want = {key: d for key, d in JET_DIGESTS.items()
+            if key.startswith("quasiclassical-")}
+    got = {}
+    for n in range(2, 8):
+        cases = [(1, False), (1, True)] + [(k, False) for k in range(2, n)]
+        for k, affine in cases:
+            op = build_toda_operator(n, k, affine=affine)
+            got["quasiclassical-n%d-%s-k%d" % (
+                n, "affine" if affine else "finite", k)] = digest(
+                quasiclassical_limit(op, comb(n, k)))
+    assert got == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
