@@ -162,12 +162,13 @@ def suite_serre(n, affine):
 
 def suite_quasiclassical(n):
     report = VerificationReport("quasiclassical")
+    classical = classical_toda(n)
 
     def check_rank_one(affine):
         def inner():
             op = build_toda_operator(n, 1, affine=affine)
             lim = quasiclassical_limit(op, n)
-            target = affine_classical_toda(n) if affine else classical_toda(n)
+            target = affine_classical_toda(n) if affine else classical
             diff = lim - (-1 * target)
             return diff.is_zero, None if diff.is_zero else diff.to_json()
         return inner
@@ -182,7 +183,7 @@ def suite_quasiclassical(n):
         def check_higher(k=k):
             op = build_toda_operator(n, k)
             lim = quasiclassical_limit(op, comb(n, k))
-            fit = classical_combination_fit(lim, classical_toda(n))
+            fit = classical_combination_fit(lim, classical)
             if fit is None:
                 return False, lim.to_json()
             c, g = fit

@@ -6,6 +6,11 @@ coefficients, truncated hbar expansions of difference operators (shift
 operators become exponentials of derivatives), and the steepest-growth
 limits of the trigonometric and elliptic inverse-sinh-squared models.
 
+The hbar jet of a difference operator is accumulated term by term in
+integers: each distinct scalar is expanded once per call into its
+series scaled by 2^k k! at hbar^k, every term adds its scaled values
+into one nested dict, and each entry is divided exactly once at the end.
+
 A differential operator takes its sums, differences, negation and
 scaling from ``torus.TermSum``, as torus polynomials and difference
 operators do.  What it builds itself (those results, ``sl_reduce`` and
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .scalars import HbarJet, LaurentQK, jet_divide, jet_expand
 from .torus import TermSum, TorusPoly, add_terms, cyclic_root
@@ -186,41 +191,107 @@ def difference_op_jet(op, order):
     """Expand a difference operator at q = e^hbar: every shift T_mu
     becomes the truncated exponential of hbar * (mu . d), and every scalar
     is jet-expanded; coefficients must be polynomial.  Returns the
-    DifferentialOp coefficients of hbar^0, ..., hbar^order."""
+    DifferentialOp coefficients of hbar^0, ..., hbar^order.
+
+    A term c q^(a/2) K^b e^(lam . z) T_mu adds
+    c (a/2)^(k-m) / (k-m)! * (mu . d)^m / m! to hbar^k.  Times 2^k k!
+    that is c a^(k-m) 2^m C(k, m) (mu . d)^m, an integer multiple of the
+    multinomial expansion whenever c is an integer.  So each distinct
+    scalar is expanded once per call into these scaled series, each term
+    adds its scaled values into one nested dict
+    {order: {gamma: {lam: {K exponent: value}}}}, and every entry is
+    divided exactly by 2^k k! once at the end.  Entries that cancel are
+    dropped, and each scalar, polynomial and operator is wrapped once.
+    """
     n = op.n
-    coeffs = [{} for _ in range(order + 1)]    # order -> {gamma: poly}
+    series = {}    # scalar -> its scaled series; lives for this call only
+    acc = [{} for _ in range(order + 1)]
     for mu, f in op.terms.items():
-        # powers of the directional derivative mu . d
         dir_pows = _directional_powers(n, mu, order)
         for lam, scal in f.as_poly().terms.items():
-            sjet = jet_expand(scal, order)
-            for m in range(order + 1):
-                fact = factorial(m)
-                for k in range(m, order + 1):
-                    s = sjet.coeffs[k - m]
-                    if s.is_zero:
-                        continue
-                    add_terms(coeffs[k], (
-                        (gamma, TorusPoly.monomial(
-                            n, lam, s * Fraction(mult, fact)))
-                        for gamma, mult in dir_pows[m].items()))
+            parts = series.get(scal)
+            if parts is None:
+                parts = series[scal] = _scaled_series(scal, order)
+            for k, m, values in parts:
+                by_gamma = acc[k]
+                for gamma, mult in dir_pows[m].items():
+                    by_lam = by_gamma.get(gamma)
+                    if by_lam is None:
+                        by_lam = by_gamma[gamma] = {}
+                    cell = by_lam.get(lam)
+                    if cell is None:
+                        cell = by_lam[lam] = {}
+                    for b, v in values:
+                        cell[b] = cell.get(b, 0) + v * mult
     zero = DifferentialOp.zero(n)
-    return [zero._wrap(terms) for terms in coeffs]
+    return [zero._wrap(_divided(n, by_gamma, 2 ** k * factorial(k)))
+            for k, by_gamma in enumerate(acc)]
+
+
+def _scaled_series(scal, order):
+    """(k, m, ((b, value), ...)) for m <= k <= order: the K^b parts of
+    2^k k! / m! times the hbar^(k-m) coefficient of the scalar at
+    q = e^hbar, that is sum c a^(k-m) 2^m C(k, m) over its terms
+    c q^(a/2) K^b; parts that vanish are left out."""
+    out = []
+    for k in range(order + 1):
+        for m in range(k + 1):
+            scale = comb(k, m) << m
+            values = {}
+            for (a, b), c in scal.terms.items():
+                values[b] = values.get(b, 0) + c * a ** (k - m) * scale
+            values = tuple((b, v) for b, v in values.items() if v)
+            if values:
+                out.append((k, m, values))
+    return out
+
+
+def _divided(n, by_gamma, scale):
+    """The accumulated {gamma: {lam: {b: value}}} divided exactly by
+    scale, as clean DifferentialOp terms: zeros dropped, integral values
+    stored as int."""
+    terms = {}
+    for gamma, by_lam in by_gamma.items():
+        poly = {}
+        for lam, cell in by_lam.items():
+            scalar = {}
+            for b, v in cell.items():
+                if not v:
+                    continue
+                if type(v) is int and not v % scale:
+                    v //= scale
+                else:
+                    v = Fraction(v, scale)
+                    if v.denominator == 1:
+                        v = v.numerator
+                scalar[(0, b)] = v
+            if scalar:
+                poly[lam] = LaurentQK._wrap(scalar)
+        if poly:
+            terms[gamma] = TorusPoly._of(n, poly)
+    return terms
 
 
 def _directional_powers(n, mu, order):
-    """(mu . d)^m expanded into derivative multi-indices, m = 0..order."""
+    """(mu . d)^m expanded into derivative multi-indices, m = 0..order.
+
+    Each multi-index of degree m is made once, by adding a unit at or
+    after the last position raised in one of degree m - 1; its
+    multiplicity m! / prod(gamma_j!) * prod(mu_j^gamma_j) is that one's
+    times m * mu_j / gamma_j, an exact integer quotient."""
+    support = [j for j in range(n) if mu[j]]
+    level = [((0,) * n, 0, 1)]    # (gamma, first support slot, mult)
     out = [{(0,) * n: 1}]
-    for _ in range(order):
-        nxt = {}
-        for gamma, mult in out[-1].items():
-            for j in range(n):
-                if mu[j]:
-                    g = list(gamma)
-                    g[j] += 1
-                    key = tuple(g)
-                    nxt[key] = nxt.get(key, 0) + mult * mu[j]
-        out.append(nxt)
+    for m in range(1, order + 1):
+        nxt = []
+        for gamma, first, mult in level:
+            for i in range(first, len(support)):
+                j = support[i]
+                g = list(gamma)
+                g[j] += 1
+                nxt.append((tuple(g), i, mult * m * mu[j] // g[j]))
+        out.append({gamma: mult for gamma, _, mult in nxt})
+        level = nxt
     return out
 
 

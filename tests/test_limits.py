@@ -1,14 +1,15 @@
 import hashlib
 import json
 import os.path as osp
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from qtoda.cli import canonical_json
 from qtoda.scalars import LaurentQK, jet_expand
-from qtoda.torus import TorusPoly
+from qtoda.torus import TorusError, TorusPoly, TorusRat, add_terms
 from qtoda.diffop import DiffOp, SL_QUOTIENT
 from qtoda.engine import build_toda_operator, toda_family
 from qtoda.limits import (
@@ -97,6 +98,107 @@ def test_jet_of_shift_matches_scalar_jet():
             got = jet[k].apply_to_monomial(lam)
             want = TorusPoly.monomial(n, lam, sjet.coeffs[k])
             assert got == want, (lam, mu, k)
+
+
+def per_term_jet(op, order):
+    # the jet by its definition, one term at a time: a scalar jet per
+    # coefficient term and one merged monomial per (order, derivative,
+    # exponent) contribution
+    n = op.n
+    coeffs = [{} for _ in range(order + 1)]
+    for mu, f in op.terms.items():
+        dir_pows = [{(0,) * n: 1}]
+        for _ in range(order):
+            nxt = {}
+            for gamma, mult in dir_pows[-1].items():
+                for j in range(n):
+                    if mu[j]:
+                        g = list(gamma)
+                        g[j] += 1
+                        key = tuple(g)
+                        nxt[key] = nxt.get(key, 0) + mult * mu[j]
+            dir_pows.append(nxt)
+        for lam, scal in f.as_poly().terms.items():
+            sjet = jet_expand(scal, order)
+            for m in range(order + 1):
+                for k in range(m, order + 1):
+                    s = sjet.coeffs[k - m]
+                    add_terms(coeffs[k], (
+                        (gamma, TorusPoly.monomial(
+                            n, lam, s * Fraction(mult, factorial(m))))
+                        for gamma, mult in dir_pows[m].items()))
+    return [DifferentialOp(n, terms) for terms in coeffs]
+
+
+def random_diffop(rng, n):
+    # Fraction coefficients, odd doubled q exponents, K powers and
+    # negative shifts: inputs the engine never emits
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mu = tuple(rng.randint(-2, 2) for _ in range(n))
+        poly = {}
+        for _ in range(rng.randint(1, 3)):
+            lam = tuple(rng.randint(-2, 2) for _ in range(n))
+            poly[lam] = LaurentQK({
+                (rng.randint(-3, 3), rng.randint(-2, 2)):
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3))})
+        terms[mu] = TorusPoly(n, poly)
+    return DiffOp(n, terms)
+
+
+def assert_clean(jet):
+    # no zero is kept at any level, and integral values are ints
+    for d in jet:
+        for poly in d.terms.values():
+            assert poly.terms
+            for scal in poly.terms.values():
+                assert scal.terms
+                for c in scal.terms.values():
+                    assert c and (type(c) is int or c.denominator != 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_jet_matches_the_per_term_route(order):
+    rng = random.Random(order)
+    for _ in range(15):
+        op = random_diffop(rng, rng.randint(1, 4))
+        got, want = difference_op_jet(op, order), per_term_jet(op, order)
+        assert len(got) == order + 1
+        assert got == want
+        assert [canonical_json(d.to_json()) for d in got] == \
+            [canonical_json(d.to_json()) for d in want]
+        assert_clean(got)
+
+
+def test_jet_drops_contributions_that_cancel():
+    # T_(1,0) + T_(-1,0): the hbar^1 parts d_1 and -d_1 cancel; the
+    # K parts of (q - q^(-1)) K + q^(1/2) cancel at hbar^0
+    n = 2
+    a = LaurentQK({(2, 1): 1, (-2, 1): -1, (1, 0): 1})
+    op = DiffOp(n, {(1, 0): 1, (-1, 0): 1, (0, 1): TorusPoly.monomial(
+        n, (1, -1), a)})
+    for order in range(4):
+        got = difference_op_jet(op, order)
+        assert got == per_term_jet(op, order)
+        assert_clean(got)
+    jet = difference_op_jet(op, 3)
+    assert jet[1].terms.keys() == {(0, 0), (0, 1)}
+    const = jet[0].terms[(0, 0)].terms[(0, 0)]
+    assert const == LaurentQK.rational(2)
+    # every contribution cancels at hbar^1 and hbar^3
+    sym = DiffOp(n, {(1, 0): 1, (-1, 0): 1})
+    jet = difference_op_jet(sym, 3)
+    assert jet[1].terms == {} and jet[3].terms == {}
+
+
+def test_jet_refuses_a_rational_coefficient():
+    n = 2
+    den = TorusPoly.one(n) - TorusPoly.monomial(n, (1, -1))
+    op = DiffOp(n, {(1, 0): TorusRat(TorusPoly.one(n), den)})
+    for order in (0, 2):
+        with pytest.raises(TorusError):
+            difference_op_jet(op, order)
 
 
 with open(osp.join(GOLDEN, "jets_sha256.json")) as fh:
