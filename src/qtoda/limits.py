@@ -256,15 +256,9 @@ def _divided(n, by_gamma, scale):
         for lam, cell in by_lam.items():
             scalar = {}
             for b, v in cell.items():
-                if not v:
-                    continue
-                if type(v) is int and not v % scale:
-                    v //= scale
-                else:
+                if v:
                     v = Fraction(v, scale)
-                    if v.denominator == 1:
-                        v = v.numerator
-                scalar[(0, b)] = v
+                    scalar[(0, b)] = v.numerator if v.denominator == 1 else v
             if scalar:
                 poly[lam] = LaurentQK._wrap(scalar)
         if poly:

@@ -80,7 +80,6 @@ def test_differential_op_json_round_trip():
 def test_jet_of_shift_matches_scalar_jet():
     # applying the expanded shift to a monomial reproduces the scalar jet
     # of q^(lam . mu) order by order
-    import random
     rng = random.Random(11)
     n, order = 3, 4
     cases = [((1, -1, 0), (2, 0, 1)), ((0, 1, -1), (1, 1, 1)),
