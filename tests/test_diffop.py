@@ -131,6 +131,31 @@ def test_product_goldens(n, affine):
     assert got == want
 
 
+with open(osp.join(GOLDEN, "commutators_sha256.json")) as fh:
+    COMMUTATOR_DIGESTS = json.load(fh)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_commutator_goldens(n):
+    # sha256 of the canonical JSON of every ordered commutator [a, b] of
+    # the union of both N = 2..6 families; a finite member never commutes
+    # with an affine one, so these digests pin nonzero results too
+    ops = [("%s-k%d" % (tag, k), op)
+           for tag, affine in (("finite", False), ("affine", True))
+           for k, op in enumerate(toda_family(n, affine), 1)]
+    want = {key: d for key, d in COMMUTATOR_DIGESTS.items()
+            if key.startswith("n%d-" % n)}
+    got = {}
+    for x, a in ops:
+        for y, b in ops:
+            c = a.commutator(b)
+            assert c.is_zero == (x[0] == y[0])
+            text = canonical_json(c.to_json())
+            got["n%d-%sx%s" % (n, x, y)] = \
+                hashlib.sha256(text.encode()).hexdigest()
+    assert got == want
+
+
 def checked_dumps(data):
     # the canonical text with json's circular-reference check left on
     return json.dumps(copy.deepcopy(data), sort_keys=True,
