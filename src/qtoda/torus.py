@@ -66,12 +66,6 @@ def cyclic_root(n, i):
     return tuple(v)
 
 
-def root_form(m):
-    """The exponent vector sum_i m_i alpha_i of the cyclic simple roots:
-    entry j is m_j - m_(j-1), indices cyclic."""
-    return tuple(m[j] - m[j - 1] for j in range(len(m)))
-
-
 def add_terms(terms, pairs, op=add):
     """Merge (key, value) pairs into the dict ``terms`` in place with op
     (add, or sub to subtract the values), dropping every key whose result

@@ -12,7 +12,7 @@ from qtoda import cli, engine, torus
 from qtoda.scalars import LaurentQK
 from qtoda.cli import canonical_json
 from qtoda.torus import (
-    TorusPoly, TorusRat, com_quotient_canonicalize, root_form, vadd,
+    TorusPoly, TorusRat, com_quotient_canonicalize, vadd,
 )
 from qtoda.degenerations import macdonald_operator
 from qtoda.diffop import (
@@ -21,6 +21,8 @@ from qtoda.diffop import (
 )
 from qtoda.engine import build_toda_operator, toda_family
 from qtoda.limits import DifferentialOp
+
+from root_lattice import root_form
 
 GOLDEN = osp.join(osp.dirname(osp.abspath(__file__)), "golden")
 GOLDEN_AUT = osp.join(GOLDEN, "automorphism")

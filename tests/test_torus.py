@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from qtoda.scalars import LaurentQK
 from qtoda.torus import (
     TorusError, TorusPoly, TorusRat, add_terms, com_quotient_canonicalize,
-    cyclic_root, root_form,
+    cyclic_root,
 )
+
+from root_lattice import root_form
 
 Q = LaurentQK.q
 N = 3
