@@ -13,14 +13,18 @@ then canonicalized modulo (1,...,1)).
 Every engine operator is a sum of monomials w e^(lam . z) T_mu whose
 scalar is exactly a weight w(j, k) = ROOT_WEIGHT^j K^k, one factor
 ROOT_WEIGHT = -(q - q^-1)^2 per cyclic root exponential.  Composition
-decodes such operands into integer lattice points (mu, lam, j, k),
-groups the left operand's points by shift and the right operand's by
-coefficient monomial, and adds the weight of each pair straight into
-the integer scalar terms of its output slot (mu1 + mu2, lam1 + lam2),
-the q power q^(lam2 . mu1) being paired once per pair of groups.  A
-commutator counts a b with sign +1 and b a with sign -1 in one integer
-table, so that pairings that cancel are dropped before any scalar is
-built; for a commuting family nothing is left.  Any other coefficient
+decodes such operands into integer lattice points (mu, lam, j, k) and
+packs each vector v as the integer sum_i v_i B^i.  The radix
+B = 2 (a + b) + 1 comes from the operands of each call, a and b being
+the largest |entry| of the left and the right operand's points, so that
+every entry of a sum of two points is a balanced digit and one integer
+addition gives a pair's packed output point.  A product counts, per
+packed output shift, how often each exponent, weight and q power
+q^(lam2 . mu1) is met (the q power once per pair of groups), and turns
+each distinct count table into one scalar.  A commutator counts a b with
+sign +1 and b a with sign -1 in one integer table, so that pairings that
+cancel are dropped before anything is unpacked or any scalar is built;
+for a commuting family nothing is left.  Any other coefficient
 is multiplied exactly in TorusRat, and its commutator is the difference
 of the two products.  A difference x - y merges y's terms with a minus
 sign into a copy of x at every layer, so equal products cancel without
@@ -63,55 +67,96 @@ def _weight(j, k, p=0):
     return w
 
 
-def _product_slots(left, right):
-    """a b on the lattice (see DiffOp._counted).  A pair of points adds
-    q^(lam2 . mu1) w(j1 + j2, k1 + k2) to the scalar terms of the slot
-    (mu1 + mu2, lam1 + lam2).  The q power is paired once per group pair,
-    and each weight is looked up once per left point and right group."""
-    slots = {}
-    for mu1, lefts in left.items():
-        for (lam2, j2, k2), rights in right.items():
+class _Radix:
+    """Packs integer vectors as sum_i v_i B^i and reads back the balanced
+    digits; B is odd and |digit| <= B // 2 = half (see DiffOp._counted)."""
+
+    def __init__(self, half, size):
+        self.half, self.radix = half, 2 * half + 1
+        self.powers = [self.radix ** i for i in range(size)]
+
+    def pack(self, v):
+        return sum(map(mul, v, self.powers))
+
+    def unpack(self, x, size):
+        half, radix, digits = self.half, self.radix, []
+        for _ in range(size):
+            d = (x + half) % radix - half
+            digits.append(d)
+            x = (x - d) // radix
+        return digits
+
+
+def _product_counts(n, left, right, radix):
+    """a b on the lattice (see DiffOp._counted).  Left points are grouped
+    by shift and right points by (lam2, j2, k2), so that q^(lam2 . mu1)
+    is paired once per pair of groups, where each packed (lam, j, k) and
+    q power met gets an interned id.  A pair adds 1 to its id in the table
+    of its packed output shift, whose tuple is built when first met."""
+    pack, lefts, rights = radix.pack, {}, {}
+    for mu, lam, j, k in left:
+        lefts.setdefault(mu, []).append(pack(lam + (j, k)))
+    for mu, lam, j, k in right:
+        lam += (j, k)
+        rights.setdefault((lam, pack(lam)), []).append((pack(mu), mu))
+    ids, tables, out = {}, {}, {}
+    for mu1, packed in lefts.items():
+        s1 = pack(mu1)
+        for (lam2, l2), mus in rights.items():
             p = sum(map(mul, lam2, mu1))
-            lams = [(tuple(map(add, lam1, lam2)),
-                     _weight(j1 + j2, k1 + k2, p))
-                    for lam1, j1, k1 in lefts]
-            for mu2 in rights:
-                slot = slots.setdefault(tuple(map(add, mu1, mu2)), {})
-                for lam, w in lams:
-                    acc = slot.get(lam)
-                    if acc is None:
-                        slot[lam] = dict(w)
+            for l1 in packed:
+                i = ids.setdefault((l1 + l2, p), len(ids))
+                for s2, mu2 in mus:
+                    table = tables.get(s1 + s2)
+                    if table is None:
+                        tables[s1 + s2] = out[tuple(map(add, mu1, mu2))] = \
+                            {i: 1}
                     else:
-                        for key, c in w.items():
-                            acc[key] = acc.get(key, 0) + c
-    return slots
+                        table[i] = table.get(i, 0) + 1
+    keys = [None] * len(ids)
+    for (l, p), i in ids.items():
+        *lam, j, k = radix.unpack(l, n + 2)
+        keys[i] = tuple(lam), (j, k, p)
+    return out, keys
 
 
-def _commutator_slots(left, right):
+def _commutator_counts(n, left, right, radix):
     """a b - b a on the lattice (see DiffOp._counted).  Both products pair
-    the same points to the same slot (mu, lam, j, k), so the pairs are
-    counted first, +1 at (slot, lam2 . mu1) and -1 at (slot, lam1 . mu2);
-    a pair whose two pairings agree cancels on the spot, and only the
-    counts that do not sum to zero are expanded into scalar terms."""
+    the same points to the same point (mu, lam, j, k), so the pairs are
+    counted first, +1 at (point, lam2 . mu1) and -1 at (point, lam1 . mu2),
+    each under the one integer packed point * step + top + q power; a pair
+    whose two pairings agree cancels on the spot, and only the counts that
+    stay nonzero are unpacked.  lam1 . mu2 is read from a row per right
+    shift, one entry per distinct left exponent."""
+    pack, top = radix.pack, n * radix.half ** 2   # |lam . mu| <= top
+    step, lams, lefts, rights, rows = 2 * top + 1, {}, {}, {}, {}
+    for mu, lam, j, k in left:
+        lefts.setdefault(mu, []).append((lams.setdefault(lam, len(lams)),
+                                         pack(mu + lam + (j, k)) * step + top))
+    for mu, lam, j, k in right:
+        if mu not in rows:
+            rows[mu] = [sum(map(mul, lam1, mu)) for lam1 in lams]
+        rights.setdefault(lam, []).append(
+            (rows[mu], pack(mu + lam + (j, k)) * step))
     counts = {}
-    for mu1, lefts in left.items():
-        for (lam2, j2, k2), rights in right.items():
+    for mu1, points in lefts.items():
+        for lam2, mus in rights.items():
             p = sum(map(mul, lam2, mu1))
-            for mu2 in rights:
-                for lam1, j1, k1 in lefts:
-                    r = sum(map(mul, lam1, mu2))
+            for row, v2 in mus:
+                for i1, v1 in points:
+                    r = row[i1]
                     if p != r:
-                        v = (tuple(map(add, mu1, mu2)),
-                             tuple(map(add, lam1, lam2)), j1 + j2, k1 + k2)
-                        counts[v, p] = counts.get((v, p), 0) + 1
-                        counts[v, r] = counts.get((v, r), 0) - 1
-    slots = {}
-    for ((mu, lam, j, k), p), count in counts.items():
+                        v = v1 + v2
+                        counts[v + p] = counts.get(v + p, 0) + 1
+                        counts[v + r] = counts.get(v + r, 0) - 1
+    tables, keys = {}, []
+    for v, count in counts.items():
         if count:
-            acc = slots.setdefault(mu, {}).setdefault(lam, {})
-            for key, c in _weight(j, k, p).items():
-                acc[key] = acc.get(key, 0) + count * c
-    return slots
+            v, p = divmod(v, step)
+            x = radix.unpack(v, 2 * n + 2)
+            tables.setdefault(tuple(x[:n]), {})[len(keys)] = count
+            keys.append((tuple(x[n:2 * n]), (x[-2], x[-1], p - top)))
+    return tables, keys
 
 
 class DiffOpError(ValueError):
@@ -227,7 +272,7 @@ class DiffOp(TermSum):
         f * sigma_mu(g) in TorusRat.
         """
         other = self._operand(other)
-        out = self._counted(other, _product_slots)
+        out = self._counted(other, _product_counts)
         if out is not None:
             return out
         quotient = self.mode == SL_QUOTIENT
@@ -246,7 +291,7 @@ class DiffOp(TermSum):
         equal pairings cancel before any scalar is built; otherwise the
         two exact products are subtracted."""
         other = self._operand(other)
-        out = self._counted(other, _commutator_slots)
+        out = self._counted(other, _commutator_counts)
         if out is not None:
             return out
         return self.compose(other) - other.compose(self)
@@ -257,17 +302,22 @@ class DiffOp(TermSum):
 
         A coefficient monomial c e^(lam . z) of T_mu whose scalar c is
         exactly a weight w(j, k) = ROOT_WEIGHT^j K^k, j >= 0, decodes to
-        the point (mu, lam, j, k).  Self's points are grouped by shift,
-        left[mu1] = [(lam1, j1, k1), ...], and other's by coefficient
-        monomial, right[lam2, j2, k2] = [mu2, ...].  A pair of points adds
-        componentwise and picks up q^(lam2 . mu1).  ``tally(left, right)``
-        returns the integer scalar terms of the result per output shift
-        and exponent, {mu: {lam: {(q2, K): int}}}; here zero terms are
-        dropped and the rest wrapped as the operator.
+        the point (mu, lam, j, k).  A pair of points adds componentwise and
+        picks up q^(lam2 . mu1).  Vectors are packed as sum_i v_i B^i with
+        the radix B = 2 (a + b) + 1 of this call, a and b the largest
+        |entry| of self's and other's points: an entry of the sum of a
+        left and a right point is at most a + b = B // 2 in absolute value,
+        a balanced digit, so the packed sum is the sum of the packed
+        points, and it unpacks exactly.  ``tally(n, left, right, radix)``
+        returns the counts of the result, ({mu: {id: count}}, keys) with
+        keys[id] = (lam, (j, k, p)) standing for q^p w(j, k) e^(lam . z).
+        Each distinct count table of a shift becomes one coefficient, and
+        each distinct table of an exponent one scalar, shared within the
+        call; zero terms are dropped.
         """
-        left, right = {}, {}
-        for op, points, by_shift in ((self, left, True),
-                                     (other, right, False)):
+        operands = []
+        for op in (self, other):
+            points = []
             for mu, f in op.terms.items():
                 if not f.is_polynomial():
                     return None
@@ -275,21 +325,37 @@ class DiffOp(TermSum):
                     q2, k = max(c.terms)
                     if q2 < 0 or q2 % 4 or _weight(q2 // 4, k) != c.terms:
                         return None
-                    if by_shift:
-                        points.setdefault(mu, []).append((lam, q2 // 4, k))
-                    else:
-                        points.setdefault((lam, q2 // 4, k), []).append(mu)
+                    points.append((mu, lam, q2 // 4, k))
+            operands.append(points)
+        n, half = self.n, sum(max((max(map(abs, mu + lam + (j, k)))
+                                   for mu, lam, j, k in points), default=0)
+                              for points in operands)
         # quotient shifts end in 0, so their sums are canonical already
-        n, terms = self.n, {}
-        for mu, slot in tally(left, right).items():
-            poly = {}
-            for lam, acc in slot.items():
-                if 0 in acc.values():
-                    acc = {key: c for key, c in acc.items() if c}
-                if acc:
-                    poly[lam] = LaurentQK._wrap(acc)
-            if poly:
-                terms[mu] = TorusRat(TorusPoly._of(n, poly))
+        tables, keys = tally(n, *operands, _Radix(half, 2 * n + 2))
+        terms, coeffs, scalars = {}, {}, {}
+        for mu, table in tables.items():
+            key = frozenset(table.items())
+            f = coeffs.get(key)
+            if f is None:
+                slots, poly = {}, {}
+                for i, count in table.items():
+                    lam, w = keys[i]
+                    slots.setdefault(lam, {})[w] = count
+                for lam, counts in slots.items():
+                    counts = frozenset(counts.items())
+                    c = scalars.get(counts)
+                    if c is None:
+                        acc = {}
+                        for w, count in counts:
+                            for t, x in _weight(*w).items():
+                                acc[t] = acc.get(t, 0) + count * x
+                        c = scalars[counts] = LaurentQK._wrap(
+                            {t: x for t, x in acc.items() if x})
+                    if c:
+                        poly[lam] = c
+                f = coeffs[key] = TorusRat(TorusPoly._of(n, poly))
+            if f.num.terms:
+                terms[mu] = f
         return self._wrap(terms)
 
     def gauge_monomial(self, lam):

@@ -250,9 +250,10 @@ def test_compose_rational_coefficient_example():
         (0, 1, 0): TorusRat(e12 * (e12 * Q(-1) + 1))})
 
 
-def weight_ops(n, mode):
+def weight_ops(n, mode, shift=2, k_min=0):
     """Random unit-weight point sets: distinct (mu, lam) with coefficient
-    ROOT_WEIGHT^j K^k e^(lam . z), lam = root_form(m), j = |m|."""
+    ROOT_WEIGHT^j K^k e^(lam . z), lam = root_form(m), j = |m|, shift
+    entries up to ``shift`` in absolute value and k_min <= k <= 1."""
     def build(points):
         terms = {}
         for mu, m, k in points:
@@ -264,9 +265,9 @@ def weight_ops(n, mode):
                           for mu, poly in terms.items()}, mode)
 
     point = st.tuples(
-        st.tuples(*[st.integers(min_value=-2, max_value=2)] * n),
+        st.tuples(*[st.integers(min_value=-shift, max_value=shift)] * n),
         st.tuples(*[st.integers(min_value=0, max_value=2)] * n),
-        st.integers(min_value=0, max_value=1))
+        st.integers(min_value=k_min, max_value=1))
     return st.lists(point, min_size=1, max_size=6).map(build)
 
 
@@ -278,6 +279,38 @@ def test_compose_matches_reference_on_unit_weight_points(mode, data):
     a = data.draw(weight_ops(n, mode))
     b = data.draw(weight_ops(n, mode))
     assert a.compose(b).to_json() == reference_compose(a, b).to_json()
+
+
+@pytest.mark.parametrize("mode", [GL, SL_QUOTIENT])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_packed_counts_match_reference_on_wide_points(mode, data):
+    # shift entries up to 50 and negative K powers: wide radices and
+    # negative digits in the packed points of both counting kernels
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    a = data.draw(weight_ops(n, mode, shift=50, k_min=-3))
+    b = data.draw(weight_ops(n, mode, shift=50, k_min=-3))
+    ab, ba = reference_compose(a, b), reference_compose(b, a)
+    assert a.compose(b).to_json() == ab.to_json()
+    assert a.commutator(b).to_json() == (ab - ba).to_json()
+
+
+def test_packed_counts_at_the_radix_bound():
+    # a's entries are at most 2 and b's at most 1, so the radix is
+    # 2 (2 + 1) + 1 = 7; the one output point (3, 0) e^(z1 - z2) w(3) K^-3
+    # has entries 3 and -3, the largest balanced digits, which a radix
+    # of 6 or 5 would misread
+    n = 2
+    a = DiffOp(n, {(2, 0): ROOT_WEIGHT ** 2 * LaurentQK.k(-2)})
+    b = DiffOp(n, {(1, 0): root_mono(n, (1, -1),
+                                     ROOT_WEIGHT * LaurentQK.k(-1))})
+    c = ROOT_WEIGHT ** 3 * LaurentQK.k(-3)
+    ab = DiffOp(n, {(3, 0): root_mono(n, (1, -1), Q(2) * c)})
+    assert a * b == ab == reference_compose(a, b)
+    assert b * a == DiffOp(n, {(3, 0): root_mono(n, (1, -1), c)})
+    assert a.commutator(b) == DiffOp(
+        n, {(3, 0): root_mono(n, (1, -1), (Q(2) - 1) * c)})
+    assert b.commutator(a) == -a.commutator(b)
 
 
 def test_compose_drops_cancelled_scalar_terms():
