@@ -97,8 +97,8 @@ def _product_counts(n, left, right, radix):
     for mu, lam, j, k in left:
         lefts.setdefault(mu, []).append(pack(lam + (j, k)))
     for mu, lam, j, k in right:
-        lam += (j, k)
-        rights.setdefault((lam, pack(lam)), []).append((pack(mu), mu))
+        key = lam + (j, k)
+        rights.setdefault((key, pack(key)), []).append((pack(mu), mu))
     ids, tables, out = {}, {}, {}
     for mu1, packed in lefts.items():
         s1 = pack(mu1)
@@ -113,10 +113,10 @@ def _product_counts(n, left, right, radix):
                             {i: 1}
                     else:
                         table[i] = table.get(i, 0) + 1
-    keys = [None] * len(ids)
-    for (l, p), i in ids.items():
+    keys = []   # in id order, the order in which ids were interned
+    for l, p in ids:
         *lam, j, k = radix.unpack(l, n + 2)
-        keys[i] = tuple(lam), (j, k, p)
+        keys.append((tuple(lam), (j, k, p)))
     return out, keys
 
 
